@@ -71,10 +71,6 @@ pub struct DetectionPerf {
     pub capture_bytes_eager: u64,
     /// Approximate bytes captured by the lazy-capture sweep.
     pub capture_bytes_lazy: u64,
-    /// Wall time of a second sequential lazy from-scratch sweep with
-    /// tracing explicitly off, ns — the flight recorder's no-op-path cost
-    /// (expected to be measurement noise; the acceptance bound is < 10%).
-    pub noop_trace_ns: u128,
     /// Wall time of a sequential lazy from-scratch sweep with a per-run
     /// ring-buffer sink installed, ns.
     pub ring_trace_ns: u128,
@@ -130,17 +126,6 @@ impl DetectionPerf {
             return 1.0;
         }
         self.scratch_ns as f64 / self.sequential_ns as f64
-    }
-
-    /// Percentage overhead of the disabled flight recorder over the
-    /// from-scratch sweep (noise-level by construction; can be negative).
-    /// Both legs run without checkpoint-resume, so the ratio isolates the
-    /// recorder.
-    pub fn trace_noop_overhead_pct(&self) -> f64 {
-        if self.scratch_ns == 0 {
-            return 0.0;
-        }
-        100.0 * (self.noop_trace_ns as f64 / self.scratch_ns as f64 - 1.0)
     }
 
     /// Percentage overhead of a live ring-buffer sink over the from-scratch
@@ -240,8 +225,8 @@ fn measure_checkpoint(spec: &AppSpec) -> u128 {
 /// `workers`-way sharded sweep under lazy capture (for the speedup), a
 /// from-scratch sequential sweep with checkpoint-resume forced off (for
 /// the resume speedup), a sequential eager-capture sweep (for the
-/// capture-cost baseline), and two tracing sweeps (disabled recorder and
-/// live ring sink). Every sweep pins its [`TraceMode`] so `ATOMASK_TRACE`
+/// capture-cost baseline), and a sweep with a live ring-buffer flight
+/// recorder. Every sweep pins its [`TraceMode`] so `ATOMASK_TRACE`
 /// cannot skew the numbers; checkpoint-resume runs at its default (auto)
 /// stride everywhere except the dedicated from-scratch leg.
 pub fn measure_detection(spec: &AppSpec, cap: Option<u64>, workers: usize) -> DetectionPerf {
@@ -277,18 +262,10 @@ pub fn measure_detection(spec: &AppSpec, cap: Option<u64>, workers: usize) -> De
         TraceMode::Off,
         CheckpointStride::Auto,
     );
-    // Tracing legs run with checkpoint-resume off: a live sink gates the
-    // resume engine anyway (replayed prefixes emit no events), so comparing
-    // against a resumed baseline would book the missing resume speedup as
-    // recorder overhead. Both overhead ratios are against `scratch_ns`.
-    let (noop_trace_ns, _, _, _) = timed_sweep(
-        spec,
-        cap,
-        1,
-        CaptureMode::Lazy,
-        TraceMode::Off,
-        CheckpointStride::Off,
-    );
+    // The tracing leg runs with checkpoint-resume off: a live sink gates
+    // the resume engine anyway (replayed prefixes emit no events), so
+    // comparing against a resumed baseline would book the missing resume
+    // speedup as recorder overhead. Its overhead is against `scratch_ns`.
     let (ring_trace_ns, _, _, _) = timed_sweep(
         spec,
         cap,
@@ -312,7 +289,6 @@ pub fn measure_detection(spec: &AppSpec, cap: Option<u64>, workers: usize) -> De
         snapshots_lazy,
         capture_bytes_eager,
         capture_bytes_lazy,
-        noop_trace_ns,
         ring_trace_ns,
     }
 }
@@ -387,10 +363,6 @@ pub fn detection_perf_json(rows: &[DetectionPerf], workers: usize) -> String {
             100.0 * (num as f64 / den as f64 - 1.0)
         }
     };
-    out.push_str(&format!(
-        "  \"trace_noop_overhead_pct\": {:.1},\n",
-        overall_pct(sum(|r| r.noop_trace_ns), sum(|r| r.scratch_ns))
-    ));
     out.push_str(&format!(
         "  \"trace_ring_overhead_pct\": {:.1},\n",
         overall_pct(sum(|r| r.ring_trace_ns), sum(|r| r.scratch_ns))
@@ -471,16 +443,8 @@ pub fn detection_perf_json(rows: &[DetectionPerf], workers: usize) -> String {
             r.capture_bytes_lazy
         ));
         out.push_str(&format!(
-            "      \"noop_trace_ms\": {:.3},\n",
-            r.noop_trace_ns as f64 / 1e6
-        ));
-        out.push_str(&format!(
             "      \"ring_trace_ms\": {:.3},\n",
             r.ring_trace_ns as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "      \"trace_noop_overhead_pct\": {:.1},\n",
-            r.trace_noop_overhead_pct()
         ));
         out.push_str(&format!(
             "      \"trace_ring_overhead_pct\": {:.1}\n",
@@ -530,7 +494,6 @@ mod tests {
         let parsed = parse_sequential_pps(&json);
         assert_eq!(parsed.len(), 1);
         assert!((parsed[0] - perf.points_per_sec(perf.sequential_ns)).abs() < 0.1);
-        assert!(json.contains("\"trace_noop_overhead_pct\""));
         assert!(json.contains("\"ring_trace_ms\""));
         assert!(json.contains("\"resume_points_per_sec\""));
         assert!(json.contains("\"resume_speedup\""));
@@ -561,7 +524,6 @@ mod tests {
             snapshots_lazy: 0,
             capture_bytes_eager: 0,
             capture_bytes_lazy: 0,
-            noop_trace_ns: 0,
             ring_trace_ns: 0,
         };
         assert_eq!(perf.speedup(), 1.0);
@@ -570,7 +532,6 @@ mod tests {
         assert_eq!(perf.capture_speedup(), 1.0);
         assert_eq!(perf.total_speedup(), 1.0);
         assert_eq!(perf.resume_speedup(), 1.0);
-        assert_eq!(perf.trace_noop_overhead_pct(), 0.0);
         assert_eq!(perf.trace_ring_overhead_pct(), 0.0);
     }
 

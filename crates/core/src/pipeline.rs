@@ -2,8 +2,7 @@
 //! corrected-program validation.
 
 use atomask_inject::{
-    classify, Campaign, CampaignConfig, CampaignResult, CaptureMode, Classification, RunHealth,
-    TraceMode,
+    classify, Campaign, CampaignConfig, CampaignResult, Classification, RunHealth, TraceMode,
 };
 use atomask_mask::{verify_masked_configured, MaskStrategy, Policy};
 use atomask_mor::{MethodId, Program};
@@ -120,14 +119,6 @@ impl<'p> Pipeline<'p> {
     /// (`0` = auto, see [`CampaignConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.campaign_config.workers = workers;
-        self
-    }
-
-    /// Sets the before-state capture mode for the detection campaign's
-    /// injection wrappers (the verification campaign always captures
-    /// eagerly because its rollback hooks mutate the heap mid-extent).
-    pub fn capture(mut self, capture: CaptureMode) -> Self {
-        self.campaign_config.capture = capture;
         self
     }
 

@@ -308,7 +308,7 @@ pub fn render_replay(report: &ReplayReport) -> String {
     match &report.divergence {
         Some(d) => out.push_str(&d.render(reg)),
         None if nonatomic > 0 => {
-            out.push_str("divergence: not minimized (inner hook present)\n");
+            out.push_str("divergence: not minimized\n");
         }
         None => out.push_str("divergence: none — the graph was unchanged\n"),
     }

@@ -269,10 +269,11 @@ pub struct CampaignConfig {
     /// setup would dominate. Any explicit value (config or environment)
     /// is honored as-is. `1` forces the sequential path.
     pub workers: usize,
-    /// How injection wrappers capture pre-call state. Defaults to
-    /// [`CaptureMode::Lazy`] (undo-log reconstruction); campaigns with an
-    /// inner hook (masking verification) always use eager capture because
-    /// rollback hooks may reclaim objects mid-extent.
+    /// How injection wrappers capture pre-call state, in every campaign —
+    /// masking verification included. Defaults to [`CaptureMode::Lazy`]
+    /// (undo-log reconstruction); [`CaptureMode::Eager`] is the paper's
+    /// literal wrapper and the reference the equivalence suites compare
+    /// against.
     pub capture: CaptureMode,
     /// Whether runs record a flight-recorder trace. Defaults to
     /// [`TraceMode::Auto`] (the `ATOMASK_TRACE` environment variable;
@@ -282,10 +283,11 @@ pub struct CampaignConfig {
     pub trace: TraceMode,
     /// Checkpoint stride for checkpoint-resume sweeps. Defaults to
     /// [`CheckpointStride::Auto`] (`ATOMASK_CKPT_STRIDE`, else `⌊√N⌋`).
-    /// Checkpoint-resume only engages when the campaign's other knobs
-    /// permit it — fast-forward on, no inner hook, no flight recorder —
-    /// and silently falls back to from-scratch execution otherwise; either
-    /// way results and journals are bit-identical.
+    /// Campaigns with an inner hook resume like any other. Two modes run
+    /// every point from scratch instead: a live flight recorder (a resumed
+    /// run cannot re-emit the prefix's trace events) and fast-forward off
+    /// (the literal Listing 1 loop stays the from-scratch reference).
+    /// Either way results and journals are bit-identical.
     pub checkpoint_stride: CheckpointStride,
     /// Where campaign warnings go. Defaults to [`stderr_diagnostics`].
     pub diagnostics: DiagnosticsFn,
@@ -353,13 +355,28 @@ struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// The latest checkpoint whose point counter is strictly before
-    /// `target` — strict, because a checkpoint *at* the target has already
-    /// consumed the armed window the resumed run must still hit.
-    fn best_for(&self, target: u64) -> Option<&SweepCheckpoint> {
+    /// Where a run targeting `target` starts: at the latest checkpoint
+    /// whose point counter is strictly before `target` — strict, because a
+    /// checkpoint *at* the target has already consumed the armed window
+    /// the resumed run must still hit — or from scratch if there is none.
+    fn start_for(&self, target: u64) -> Start<'_> {
         let idx = self.checkpoints.partition_point(|c| c.point < target);
-        idx.checked_sub(1).map(|i| &self.checkpoints[i])
+        idx.checked_sub(1).map_or(Start::Scratch, |i| {
+            Start::Resume(self, &self.checkpoints[i])
+        })
     }
+}
+
+/// Where one attempt starts executing.
+#[derive(Debug, Clone, Copy)]
+enum Start<'a> {
+    /// At program entry.
+    Scratch,
+    /// At a sweep checkpoint: the recorded prefix replays at host speed
+    /// (guest bodies never run), the checkpoint restores heap, stats, fuel
+    /// and chain watermark at the switch op, and the tail runs live with
+    /// the injector seeded with the prefix's counter, marks and stats.
+    Resume(&'a SweepPlan, &'a SweepCheckpoint),
 }
 
 /// The outcome of one injector run (one `InjectionPoint` value).
@@ -410,6 +427,17 @@ impl RunResult {
             snapshots: 0,
             capture_bytes: 0,
             trace_events: 0,
+        }
+    }
+
+    /// A point whose harness panicked outside the guest isolation (a
+    /// campaign bug, not a program outcome), recorded as panicked so the
+    /// ordered writer never waits on it.
+    fn harness_panic(injection_point: u64, message: &str) -> Self {
+        RunResult {
+            top_error: Some(format!("panic: harness: {message}")),
+            outcome: RunOutcome::Panicked,
+            ..RunResult::skipped(injection_point)
         }
     }
 
@@ -592,6 +620,11 @@ impl<'p> Campaign<'p> {
     /// pass a factory producing the masking hook, and the campaign measures
     /// the program as its users would see it — with atomicity wrappers
     /// rolling back before the injection wrappers compare.
+    ///
+    /// Contract: a checkpoint-resumed run starts at a top-level driver
+    /// boundary with a fresh hook from `factory`, so the hook may carry no
+    /// behaviour-relevant state across top-level driver ops. Both masking
+    /// hooks satisfy this; their only such state is statistics.
     pub fn with_inner_hook(
         mut self,
         factory: impl Fn(&Registry) -> Rc<RefCell<dyn CallHook>> + Send + Sync + 'static,
@@ -714,11 +747,15 @@ impl<'p> Campaign<'p> {
         let missing: Vec<u64> = (1..=limit)
             .filter(|p| journal.run_for(*p).is_none())
             .collect();
-        // Checkpoint-resume stride, resolved once for the whole sweep (the
-        // environment is read here, not per worker). `None` — configured
-        // off, or a campaign mode the replay engine does not cover — means
-        // every missing point runs from scratch, as before.
-        let stride = if missing.is_empty() || !self.checkpointing_possible() {
+        // Flight recorder and checkpoint-resume stride, resolved once for
+        // the whole sweep (the environment is read here, not per attempt).
+        // A stride of `None` runs every missing point from scratch: so do
+        // traced sweeps (a resumed run cannot re-emit the prefix's trace
+        // events) and sweeps with fast-forward off (the resumed hook's
+        // prefix seeding assumes the arithmetic counter, and the literal
+        // Listing 1 loop must stay a from-scratch reference).
+        let trace = self.config.trace.resolve();
+        let stride = if missing.is_empty() || trace.is_some() || !self.fast_forward {
             None
         } else {
             self.config.checkpoint_stride.resolve(limit)
@@ -732,9 +769,9 @@ impl<'p> Campaign<'p> {
             missing.len(),
         );
         let runs = if workers <= 1 {
-            self.sweep_sequential(journal, &registry, limit, stride)
+            self.sweep_sequential(journal, &registry, limit, stride, trace)
         } else {
-            self.sweep_parallel(journal, limit, &missing, workers, stride)
+            self.sweep_parallel(journal, limit, &missing, workers, stride, trace)
         };
 
         CampaignResult {
@@ -746,18 +783,6 @@ impl<'p> Campaign<'p> {
         }
     }
 
-    /// `true` iff this campaign's configuration is one the checkpoint-
-    /// resume engine covers: phase-gated fast-forward on (the resumed
-    /// hook's prefix seeding assumes the arithmetic counter), no inner
-    /// hook (a masking hook accumulates its own per-run state the replay
-    /// cannot reconstruct), and no flight recorder (a resumed run cannot
-    /// re-emit the prefix's trace events). Outside that envelope every
-    /// run executes from scratch — same results, just without the
-    /// speedup.
-    fn checkpointing_possible(&self) -> bool {
-        self.fast_forward && self.inner_hook.is_none() && self.config.trace.resolve().is_none()
-    }
-
     /// The classic in-order sweep on the campaign thread.
     fn sweep_sequential(
         &self,
@@ -765,6 +790,7 @@ impl<'p> Campaign<'p> {
         registry: &Rc<Registry>,
         limit: u64,
         stride: Option<u64>,
+        trace: Option<usize>,
     ) -> Vec<RunResult> {
         // One reusable VM universe for the whole sweep: every attempt
         // resets it to the pristine epoch instead of rebuilding the heap
@@ -785,7 +811,7 @@ impl<'p> Campaign<'p> {
             let run = if self.config.max_failures.is_some_and(|cap| unhealthy >= cap) {
                 RunResult::skipped(injection_point)
             } else {
-                self.run_point(&mut vm, injection_point, plan.as_ref())
+                self.run_point(&mut vm, injection_point, plan.as_ref(), trace)
             };
             if !run.is_healthy() {
                 unhealthy += 1;
@@ -814,6 +840,7 @@ impl<'p> Campaign<'p> {
         missing: &[u64],
         workers: usize,
         stride: Option<u64>,
+        trace: Option<usize>,
     ) -> Vec<RunResult> {
         let next = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
@@ -861,22 +888,10 @@ impl<'p> Campaign<'p> {
                             // `reset_for_run` discards whatever the unwind
                             // left.
                             let run = catch_unwind(AssertUnwindSafe(|| {
-                                self.run_point(&mut vm, point, plan.as_ref())
+                                self.run_point(&mut vm, point, plan.as_ref(), trace)
                             }))
-                            .unwrap_or_else(|payload| RunResult {
-                                injection_point: point,
-                                injected: None,
-                                marks: Vec::new(),
-                                top_error: Some(format!(
-                                    "panic: harness: {}",
-                                    panic_message(payload.as_ref())
-                                )),
-                                outcome: RunOutcome::Panicked,
-                                retries: 0,
-                                fuel_spent: 0,
-                                snapshots: 0,
-                                capture_bytes: 0,
-                                trace_events: 0,
+                            .unwrap_or_else(|payload| {
+                                RunResult::harness_panic(point, &panic_message(payload.as_ref()))
                             });
                             if tx.send(run).is_err() {
                                 break 'claim;
@@ -936,51 +951,34 @@ impl<'p> Campaign<'p> {
     /// every attempt resumes from the nearest checkpoint strictly before
     /// the target; a replay mismatch (the determinism guard tripping)
     /// demotes the point to from-scratch execution permanently.
-    fn run_point(&self, vm: &mut Vm, injection_point: u64, plan: Option<&SweepPlan>) -> RunResult {
+    fn run_point(
+        &self,
+        vm: &mut Vm,
+        injection_point: u64,
+        plan: Option<&SweepPlan>,
+        trace: Option<usize>,
+    ) -> RunResult {
         let mut budget = self.config.budget;
-        let mut attempt = 0u32;
-        let mut resume = plan.and_then(|p| p.best_for(injection_point).map(|c| (p, c)));
+        let mut retries = 0u32;
+        let mut start = plan.map_or(Start::Scratch, |p| p.start_for(injection_point));
         loop {
-            let mut run = match resume {
-                Some((plan, ckpt)) => {
-                    match self.attempt_point_resumed(vm, injection_point, budget, plan, ckpt) {
-                        Some(run) => run,
-                        None => {
-                            resume = None;
-                            self.attempt_point(vm, injection_point, budget)
-                        }
-                    }
-                }
-                None => self.attempt_point(vm, injection_point, budget),
+            let hook = InjectionHook::with_injection_point(injection_point)
+                .capture(self.config.capture)
+                .fast_forward(self.fast_forward);
+            let tracer = trace.map(|cap| Rc::new(RefCell::new(RingBufferSink::new(cap))));
+            let Some((mut run, _)) = self.attempt(vm, injection_point, budget, start, hook, tracer)
+            else {
+                start = Start::Scratch;
+                continue;
             };
-            run.retries = attempt;
+            run.retries = retries;
             let retryable = matches!(run.outcome, RunOutcome::Diverged | RunOutcome::Panicked);
-            if !retryable || attempt >= self.config.retry.max_retries {
+            if !retryable || retries >= self.config.retry.max_retries {
                 return run;
             }
-            attempt += 1;
+            retries += 1;
             budget = budget.scaled(self.config.retry.budget_multiplier);
         }
-    }
-
-    /// One isolated attempt at one injection point, with the configured
-    /// flight recorder (if any).
-    fn attempt_point(&self, vm: &mut Vm, injection_point: u64, budget: Budget) -> RunResult {
-        let tracer = self
-            .config
-            .trace
-            .resolve()
-            .map(|cap| Rc::new(RefCell::new(RingBufferSink::new(cap))));
-        self.attempt_point_traced(
-            vm,
-            injection_point,
-            budget,
-            tracer,
-            self.effective_capture(),
-            false,
-            self.fast_forward,
-        )
-        .0
     }
 
     /// One recording run: executes the program normally under an observing
@@ -997,7 +995,7 @@ impl<'p> Campaign<'p> {
         vm.reset_for_run();
         vm.set_budget(self.config.budget);
         let hook = Rc::new(RefCell::new(
-            InjectionHook::observing().capture(self.effective_capture()),
+            InjectionHook::observing().capture(self.config.capture),
         ));
         self.install(vm, hook.clone());
         let checkpoints: Rc<RefCell<Vec<SweepCheckpoint>>> = Rc::default();
@@ -1045,96 +1043,22 @@ impl<'p> Campaign<'p> {
         })
     }
 
-    /// One isolated attempt at one injection point, resumed from a sweep
-    /// checkpoint: the recorded prefix replays at host speed (guest bodies
-    /// never run), the checkpoint restores heap / stats / fuel / chain
-    /// watermark at the switch op, and the tail executes live with the
-    /// injector seeded with the prefix's counter, marks, and capture
-    /// stats. Returns `None` when the determinism guard trips (replay
-    /// mismatch, or the driver finished while still replaying) — the
-    /// caller then falls back to from-scratch execution for this point.
-    fn attempt_point_resumed(
+    /// One isolated attempt at one injection point under `hook`, with the
+    /// flight recorder `tracer` (if any) attached: the one place a run
+    /// executes and a [`RunResult`] is built, behind both the sweep and
+    /// [`Campaign::replay`]. Returns `None` only when a resumed start's
+    /// determinism guard trips (replay mismatch, or the driver finished
+    /// while still replaying); the caller then runs the point from
+    /// scratch.
+    fn attempt(
         &self,
         vm: &mut Vm,
         injection_point: u64,
         budget: Budget,
-        plan: &SweepPlan,
-        ckpt: &SweepCheckpoint,
-    ) -> Option<RunResult> {
-        vm.reset_for_run();
-        vm.set_budget(budget);
-        let hook = Rc::new(RefCell::new(
-            InjectionHook::with_injection_point(injection_point)
-                .capture(self.effective_capture())
-                .fast_forward(true)
-                .resume_prefix(ckpt.point, ckpt.marks.clone(), ckpt.stats),
-        ));
-        self.install(vm, hook.clone());
-        vm.begin_replay(Rc::clone(&plan.ops), ckpt.op_cursor, Rc::clone(&ckpt.vm));
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.program.run(&mut *vm)));
-        let replay_leftover = vm.replay_active();
-        vm.clear_replay();
-        vm.set_hook(None);
-        let diverged = vm.fuel_exhausted();
-        let fuel_spent = vm.fuel_spent();
-        if let Err(payload) = &outcome {
-            if panic_message(payload.as_ref()).contains(REPLAY_MISMATCH) {
-                return None;
-            }
-        }
-        if replay_leftover {
-            return None;
-        }
-        let hook = extract_hook_state(hook, self.config.diagnostics);
-        let capture = hook.capture_stats();
-        // Outcome resolution is a verbatim copy of the from-scratch path
-        // (`attempt_point_traced`): an exhausted budget wins over how the
-        // run happened to end.
-        let (outcome, top_error) = match outcome {
-            _ if diverged => (
-                RunOutcome::Diverged,
-                match outcome {
-                    Ok(result) => result.err().map(|e| e.to_string()),
-                    Err(payload) => Some(format!("panic: {}", panic_message(payload.as_ref()))),
-                },
-            ),
-            Ok(result) => (RunOutcome::Completed, result.err().map(|e| e.to_string())),
-            Err(payload) => (
-                RunOutcome::Panicked,
-                Some(format!("panic: {}", panic_message(payload.as_ref()))),
-            ),
-        };
-        Some(RunResult {
-            injection_point,
-            injected: hook.injected(),
-            marks: hook.into_marks(),
-            top_error,
-            outcome,
-            retries: 0,
-            fuel_spent,
-            snapshots: capture.snapshots,
-            capture_bytes: capture.capture_bytes,
-            // Checkpointing only engages with the flight recorder off
-            // (`checkpointing_possible`), where from-scratch runs record 0
-            // trace events too.
-            trace_events: 0,
-        })
-    }
-
-    /// One isolated attempt at one injection point with explicit tracing,
-    /// capture, and minimization controls. The workhorse behind both the
-    /// sweep ([`Campaign::attempt_point`]) and [`Campaign::replay`].
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_point_traced(
-        &self,
-        vm: &mut Vm,
-        injection_point: u64,
-        budget: Budget,
+        start: Start<'_>,
+        hook: InjectionHook,
         tracer: Option<Rc<RefCell<RingBufferSink>>>,
-        capture: CaptureMode,
-        minimize: bool,
-        fast_forward: bool,
-    ) -> (RunResult, Option<Divergence>) {
+    ) -> Option<(RunResult, Option<Divergence>)> {
         // Recycled VM universe: reset to the pristine epoch (heap, frames,
         // stats, chains, budget) instead of rebuilding the whole VM. The
         // reset also makes a previous attempt's panic harmless — whatever
@@ -1144,45 +1068,55 @@ impl<'p> Campaign<'p> {
         if let Some(t) = &tracer {
             vm.set_tracer(Some(t.clone()));
         }
-        let hook = Rc::new(RefCell::new(
-            InjectionHook::with_injection_point(injection_point)
-                .capture(capture)
-                .minimize_divergence(minimize)
-                .fast_forward(fast_forward),
-        ));
+        let hook = match start {
+            Start::Scratch => hook,
+            Start::Resume(_, ckpt) => {
+                hook.resume_prefix(ckpt.point, ckpt.marks.clone(), ckpt.stats)
+            }
+        };
+        let hook = Rc::new(RefCell::new(hook));
         self.install(vm, hook.clone());
+        if let Start::Resume(plan, ckpt) = start {
+            vm.begin_replay(Rc::clone(&plan.ops), ckpt.op_cursor, Rc::clone(&ckpt.vm));
+        }
         // Panic isolation: a panicking application body unwinds out of
         // `Program::run`; the VM is only inspected for fuel afterwards and
         // then reset before its next run, so AssertUnwindSafe is sound here.
         let outcome = catch_unwind(AssertUnwindSafe(|| self.program.run(&mut *vm)));
+        let replay_leftover = vm.replay_active();
+        vm.clear_replay();
         // Release the VM's clone(s) of the hook (direct or via a HookChain)
         // so the results can be moved out, and its tracer clone so callers
         // can unwrap the ring buffer.
         vm.set_hook(None);
+        vm.set_tracer(None);
         let diverged = vm.fuel_exhausted();
         let fuel_spent = vm.fuel_spent();
-        vm.set_tracer(None);
+        if let Start::Resume(..) = start {
+            let mismatch = matches!(&outcome,
+                Err(payload) if panic_message(payload.as_ref()).contains(REPLAY_MISMATCH));
+            if mismatch || replay_leftover {
+                return None;
+            }
+        }
         let mut hook = extract_hook_state(hook, self.config.diagnostics);
         let divergence = hook.take_divergence();
         let capture = hook.capture_stats();
-        let trace_events = tracer.as_ref().map(|t| t.borrow().emitted()).unwrap_or(0);
         // An exhausted budget wins over how the run happened to end: both
         // the guest `BudgetExhausted` exception reaching the driver and the
         // escalation panic (when the program swallowed that exception and
         // kept going) mean the run did not terminate on its own.
         let (outcome, top_error) = match outcome {
-            _ if diverged => (
-                RunOutcome::Diverged,
-                match outcome {
-                    Ok(result) => result.err().map(|e| e.to_string()),
-                    Err(payload) => Some(format!("panic: {}", panic_message(payload.as_ref()))),
-                },
-            ),
             Ok(result) => (RunOutcome::Completed, result.err().map(|e| e.to_string())),
             Err(payload) => (
                 RunOutcome::Panicked,
                 Some(format!("panic: {}", panic_message(payload.as_ref()))),
             ),
+        };
+        let outcome = if diverged {
+            RunOutcome::Diverged
+        } else {
+            outcome
         };
         let run = RunResult {
             injection_point,
@@ -1194,9 +1128,9 @@ impl<'p> Campaign<'p> {
             fuel_spent,
             snapshots: capture.snapshots,
             capture_bytes: capture.capture_bytes,
-            trace_events,
+            trace_events: tracer.map_or(0, |t| t.borrow().emitted()),
         };
-        (run, divergence)
+        Some((run, divergence))
     }
 
     /// Re-executes exactly one injection point with the flight recorder
@@ -1226,34 +1160,41 @@ impl<'p> Campaign<'p> {
         let registry = Rc::new(self.program.build_registry());
         let mut vm = Vm::from_shared_registry(registry.clone());
         let tracer = Rc::new(RefCell::new(RingBufferSink::new(REPLAY_RING_CAPACITY)));
-        let capture = self.effective_capture();
+        let reference = |capture| {
+            InjectionHook::with_injection_point(injection_point)
+                .capture(capture)
+                .fast_forward(false)
+        };
+        let budget = self.config.budget;
         // First pass: the recorded run, bit-for-bit what the sweep journals
         // for this point. No minimizer here — it needs the lazy undo log
         // open at propagation time and the full comparison, so the second
         // pass below derives the divergence instead.
-        let (run, mut divergence) = self.attempt_point_traced(
-            &mut vm,
-            injection_point,
-            self.config.budget,
-            Some(tracer.clone()),
-            capture,
-            false,
-            false,
-        );
-        if divergence.is_none() && self.inner_hook.is_none() && run.marks.iter().any(|m| !m.atomic)
-        {
-            divergence = self
-                .attempt_point_traced(
-                    &mut vm,
-                    injection_point,
-                    self.config.budget,
-                    None,
-                    CaptureMode::Lazy,
-                    true,
-                    false,
-                )
-                .1;
-        }
+        let first = reference(self.config.capture);
+        let (run, _) = self
+            .attempt(
+                &mut vm,
+                injection_point,
+                budget,
+                Start::Scratch,
+                first,
+                Some(tracer.clone()),
+            )
+            .expect("a from-scratch attempt always finishes");
+        let divergence = if run.marks.iter().any(|m| !m.atomic) {
+            let second = reference(CaptureMode::Lazy).minimize_divergence(true);
+            self.attempt(
+                &mut vm,
+                injection_point,
+                budget,
+                Start::Scratch,
+                second,
+                None,
+            )
+            .and_then(|(_, divergence)| divergence)
+        } else {
+            None
+        };
         let sink = match Rc::try_unwrap(tracer) {
             Ok(cell) => cell.into_inner(),
             Err(shared) => shared.borrow().clone(),
@@ -1267,19 +1208,6 @@ impl<'p> Campaign<'p> {
             trace_dropped,
             registry,
             divergence,
-        }
-    }
-
-    /// The capture mode injector runs actually use: the configured mode,
-    /// except that campaigns weaving an inner hook (masking verification)
-    /// always capture eagerly — rollback hooks may reclaim objects in the
-    /// middle of a wrapped call's extent, which would punch holes in an
-    /// undo-log reconstruction of the before-graph.
-    fn effective_capture(&self) -> CaptureMode {
-        if self.inner_hook.is_some() {
-            CaptureMode::Eager
-        } else {
-            self.config.capture
         }
     }
 
@@ -1830,7 +1758,13 @@ mod tests {
         );
         let sweep = |stride| {
             BODY_RUNS.with(|b| b.set(0));
-            let result = Campaign::new(&p).workers(1).checkpoint_stride(stride).run();
+            // Trace pinned off: a live recorder runs every point from
+            // scratch, whatever the stride.
+            let result = Campaign::new(&p)
+                .workers(1)
+                .trace(TraceMode::Off)
+                .checkpoint_stride(stride)
+                .run();
             (result, BODY_RUNS.with(|b| b.get()))
         };
         let (scratch, scratch_bodies) = sweep(CheckpointStride::Off);

@@ -5,7 +5,8 @@
 //! re-executes every prefix from program entry. Across real evaluation
 //! applications, stride choices (1, 7, auto), worker counts (1, 4), and
 //! the resilience edge cases: panicking bodies, fuel-exhausted runs, and
-//! recordings too starved to produce a usable plan.
+//! recordings too starved to produce a usable plan — and for verification
+//! campaigns, which weave a masking hook inside the injection wrappers.
 //!
 //! This is the proof obligation that lets `CheckpointStride::Auto` ship
 //! on by default: since resume and from-scratch agree everywhere we can
@@ -15,6 +16,7 @@
 use atomask_inject::{
     classify, Campaign, CampaignConfig, CampaignResult, CheckpointStride, MarkFilter, RunOutcome,
 };
+use atomask_mask::{MaskStrategy, Policy};
 use atomask_mor::{Budget, FnProgram, Profile, Program, RegistryBuilder, Value};
 
 /// Strides under test. `Auto` is only meaningful when the environment
@@ -126,6 +128,41 @@ fn evaluation_apps_resume_bit_identically() {
 fn field_reading_driver_resumes_bit_identically() {
     let p = atomask_apps::program_by_name("xml2Cviasc1").expect("suite app exists");
     check_matrix(&p, Budget::unlimited());
+}
+
+/// Verification campaigns resume too: a resumed run gets a fresh masking
+/// hook from the factory, which is sound because masking hooks carry no
+/// behaviour-relevant state across top-level driver ops. `xml2Ctcp`'s
+/// driver raises and handles its own exceptions, so masks also roll back
+/// inside the recorded prefixes.
+#[test]
+fn inner_hook_campaigns_resume_bit_identically() {
+    let policy = Policy::default();
+    for name in ["xml2Ctcp", "LinkedBuffer"] {
+        let p = atomask_apps::program_by_name(name).expect("suite app exists");
+        let detection = Campaign::new(&p).run();
+        let mask_set = policy.mask_set(&classify(&detection, &policy.mark_filter()));
+        assert!(!mask_set.is_empty(), "{name}: nothing to mask");
+        for strategy in [MaskStrategy::DeepCopy, MaskStrategy::UndoLog] {
+            let sweep = |stride| {
+                let mask_set = mask_set.clone();
+                Campaign::new(&p)
+                    .with_inner_hook(move |_| strategy.hook(mask_set.clone()))
+                    .config(config(1, Budget::unlimited()))
+                    .checkpoint_stride(stride)
+                    .run()
+            };
+            let reference = sweep(CheckpointStride::Off);
+            let mut strides = vec![CheckpointStride::Every(1)];
+            if std::env::var_os("ATOMASK_CKPT_STRIDE").is_none() {
+                strides.push(CheckpointStride::Auto);
+            }
+            for stride in strides {
+                let label = format!("{name} {strategy:?} stride={stride:?}");
+                assert_bit_identical(&label, &reference, &sweep(stride));
+            }
+        }
+    }
 }
 
 /// A body that panics when an injected failure reaches a "can never

@@ -28,6 +28,18 @@ pub enum MaskStrategy {
     UndoLog,
 }
 
+impl MaskStrategy {
+    /// A fresh atomicity-wrapper hook of this strategy around `wrapped`,
+    /// as [`atomask_inject::Campaign::with_inner_hook`] factories produce
+    /// one per run.
+    pub fn hook(self, wrapped: HashSet<MethodId>) -> Rc<RefCell<dyn CallHook>> {
+        match self {
+            MaskStrategy::DeepCopy => Rc::new(RefCell::new(MaskingHook::new(wrapped))),
+            MaskStrategy::UndoLog => Rc::new(RefCell::new(UndoMaskingHook::new(wrapped))),
+        }
+    }
+}
+
 /// Runs the detection campaign against the corrected program (original
 /// program + atomicity wrappers for `mask_set`) and returns the resulting
 /// classification.
@@ -76,14 +88,7 @@ pub fn verify_masked_configured(
 ) -> Classification {
     let mask_set = mask_set.clone();
     let mut campaign = Campaign::new(program)
-        .with_inner_hook(move |_registry| -> Rc<RefCell<dyn CallHook>> {
-            match strategy {
-                MaskStrategy::DeepCopy => Rc::new(RefCell::new(MaskingHook::new(mask_set.clone()))),
-                MaskStrategy::UndoLog => {
-                    Rc::new(RefCell::new(UndoMaskingHook::new(mask_set.clone())))
-                }
-            }
-        })
+        .with_inner_hook(move |_registry| strategy.hook(mask_set.clone()))
         .config(config);
     if let Some(cap) = cap {
         campaign = campaign.max_points(cap);

@@ -9,6 +9,9 @@
 //! (mark–sweep from roots, cyclic structures). This mirrors the paper's
 //! §5.1: rolled-back objects are cleaned up with automatic reference
 //! counting, and cyclic structures need an off-the-shelf garbage collector.
+//! While a write-journal layer is open, [`Heap::reclaim`] only records its
+//! garbage and the outermost layer's close releases it, so no object an
+//! open layer's undo log or as-of view refers to can vanish under it.
 
 use crate::class::ClassDef;
 use crate::error::MorError;
@@ -135,6 +138,9 @@ pub struct Heap {
     live: usize,
     stats: HeapStats,
     journal: JournalLog,
+    /// Garbage [`Heap::reclaim`] found while a journal layer was open,
+    /// released when the outermost layer closes.
+    pending_garbage: Vec<ObjId>,
     /// Bumped by every operation that can change the object graph; see
     /// [`Heap::mutation_epoch`].
     mutations: u64,
@@ -159,6 +165,7 @@ impl Heap {
             live: 0,
             stats: HeapStats::default(),
             journal: JournalLog::default(),
+            pending_garbage: Vec::new(),
             mutations: 0,
             tracer: None,
         }
@@ -190,6 +197,7 @@ impl Heap {
         self.journal.writes.clear();
         self.journal.allocs.clear();
         self.journal.layers.clear();
+        self.pending_garbage.clear();
         self.mutations += 1;
     }
 
@@ -229,6 +237,7 @@ impl Heap {
         self.journal.writes.clear();
         self.journal.allocs.clear();
         self.journal.layers.clear();
+        self.pending_garbage.clear();
         self.mutations += 1;
     }
 
@@ -407,12 +416,67 @@ impl Heap {
     ///
     /// This is the paper's reference-counting rollback cleanup (§5.1
     /// limitation 4); cyclic garbage survives and needs [`Heap::collect`].
+    ///
+    /// While a journal layer is open this frees nothing and returns 0: it
+    /// records the objects it would have released, and the outermost
+    /// layer's close releases those still unrooted and unreferenced then.
+    /// An enclosing layer's undo log and as-of view may still name them —
+    /// a rollback inside an injection wrapper's extent must not punch a
+    /// hole in the before-graph that wrapper reconstructs.
     pub fn reclaim(&mut self) -> usize {
-        let mut worklist: Vec<ObjId> = self
-            .iter()
+        if self.journal.layers.is_empty() {
+            let unreferenced = self.unreferenced();
+            return self.release(unreferenced, None);
+        }
+        let garbage = self.garbage();
+        self.pending_garbage.extend(garbage);
+        0
+    }
+
+    /// `true` iff `id` is live, unrooted and unreferenced.
+    fn is_garbage(&self, id: ObjId) -> bool {
+        self.is_live(id) && self.refcount(id) == 0 && self.root_count(id) == 0
+    }
+
+    /// Every live, unrooted, unreferenced object.
+    fn unreferenced(&self) -> Vec<ObjId> {
+        self.iter()
             .map(|(id, _)| id)
-            .filter(|id| self.refcount(*id) == 0 && self.root_count(*id) == 0)
-            .collect();
+            .filter(|&id| self.is_garbage(id))
+            .collect()
+    }
+
+    /// What an immediate [`Heap::reclaim`] would release, computed on a
+    /// copy of the reference counts: the unreferenced objects plus every
+    /// object their release would leave unrooted and unreferenced.
+    fn garbage(&self) -> Vec<ObjId> {
+        let mut refcounts = self.refcounts.clone();
+        let mut worklist = self.unreferenced();
+        let mut garbage = Vec::new();
+        let mut seen = HashSet::new();
+        while let Some(id) = worklist.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            garbage.push(id);
+            let obj = self.get(id).expect("garbage candidates are live");
+            for target in obj.fields.iter().filter_map(Value::as_ref_id) {
+                let Some(i) = slot_index(target).filter(|&i| i < refcounts.len()) else {
+                    continue;
+                };
+                refcounts[i] = refcounts[i].saturating_sub(1);
+                if refcounts[i] == 0 && self.is_live(target) && self.root_count(target) == 0 {
+                    worklist.push(target);
+                }
+            }
+        }
+        garbage
+    }
+
+    /// Releases the objects on `worklist`, cascading to every object their
+    /// release leaves unrooted and unreferenced — restricted to `within`
+    /// when given. Returns the number of objects released.
+    fn release(&mut self, mut worklist: Vec<ObjId>, within: Option<&HashSet<ObjId>>) -> usize {
         let mut freed = 0;
         while let Some(id) = worklist.pop() {
             let idx = slot_index(id).expect("worklist ids are allocated");
@@ -425,10 +489,7 @@ impl Heap {
             for v in obj.fields {
                 if let Some(target) = v.as_ref_id() {
                     self.dec_ref(target);
-                    if self.is_live(target)
-                        && self.refcount(target) == 0
-                        && self.root_count(target) == 0
-                    {
+                    if within.is_none_or(|set| set.contains(&target)) && self.is_garbage(target) {
                         worklist.push(target);
                     }
                 }
@@ -438,7 +499,26 @@ impl Heap {
         if freed > 0 {
             self.mutations += 1;
         }
-        freed as usize
+        freed
+    }
+
+    /// Releases the garbage deferred while journal layers were open
+    /// (called when the outermost layer closes). Objects a rollback made
+    /// reachable again in the meantime stay, and so does everything they
+    /// reference.
+    fn release_pending(&mut self) {
+        if self.pending_garbage.is_empty() {
+            return;
+        }
+        let pending: HashSet<ObjId> = std::mem::take(&mut self.pending_garbage)
+            .into_iter()
+            .collect();
+        let worklist = pending
+            .iter()
+            .copied()
+            .filter(|&id| self.is_garbage(id))
+            .collect();
+        self.release(worklist, Some(&pending));
     }
 
     /// Mark–sweep collection from the root set. Releases cyclic garbage that
@@ -589,9 +669,10 @@ impl Heap {
             .expect("commit_journal: no open journal");
         if self.journal.layers.is_empty() {
             // Outermost layer closed: nothing can roll these entries back
-            // any more, so release the log.
+            // any more, so release the log and the deferred garbage.
             self.journal.writes.clear();
             self.journal.allocs.clear();
+            self.release_pending();
         }
     }
 
@@ -639,6 +720,9 @@ impl Heap {
                 class,
                 slot,
             });
+        }
+        if self.journal.layers.is_empty() {
+            self.release_pending();
         }
         undone
     }
@@ -701,9 +785,9 @@ impl Heap {
     /// reference objects that already existed (ids are monotonic and never
     /// reused), so if every dirty cell reads its layer-open value, no cell
     /// reachable from a pre-existing root references a layer-born object.
-    /// Reclamation never runs while a layer is open, so no pre-existing
-    /// object can have vanished either. Returns `true` when no layer is
-    /// open (an empty overlay changes nothing).
+    /// [`Heap::reclaim`] releases nothing while a layer is open, so no
+    /// pre-existing object can have vanished either. Returns `true` when
+    /// no layer is open (an empty overlay changes nothing).
     pub fn journal_innermost_reverted(&self) -> bool {
         let Some(&(writes_mark, _)) = self.journal.layers.last() else {
             return true;
@@ -800,10 +884,9 @@ impl AsOfHeap<'_> {
     /// `None` if the object did not exist then (allocated under the layer,
     /// or dead in the underlying heap).
     ///
-    /// Objects live at layer-open time cannot have died since — deferred
-    /// reclamation only runs between top-level calls, never while a
-    /// wrapper's layer is open — so reading through the live heap plus the
-    /// overlay is exact.
+    /// Objects live at layer-open time cannot have died since —
+    /// [`Heap::reclaim`] defers every release until the outermost layer
+    /// closes — so reading through the live heap plus the overlay is exact.
     pub fn node(&self, id: ObjId) -> Option<(ClassId, Vec<Value>)> {
         if self.born.contains(&id) {
             return None;
@@ -1031,6 +1114,50 @@ mod tests {
         assert_eq!(h.refcount(c), 0, "c dropped by rollback");
         assert_eq!(h.reclaim(), 1, "c is garbage");
         assert!(h.is_live(b));
+    }
+
+    #[test]
+    fn reclaim_defers_until_the_outermost_layer_closes() {
+        let mut h = heap();
+        let a = alloc_node(&mut h);
+        h.root(a);
+        let b = alloc_node(&mut h);
+        let c = alloc_node(&mut h);
+        h.set_field(b, "next", Value::Ref(c)).unwrap();
+        h.set_field(a, "next", Value::Ref(b)).unwrap();
+        h.push_journal(); // outer
+        h.set_field(a, "next", Value::Null).unwrap();
+        h.push_journal(); // inner
+        assert_eq!(h.reclaim(), 0, "nothing is freed under an open layer");
+        assert!(h.is_live(b) && h.is_live(c));
+        // The as-of view of the outer layer still resolves b.
+        h.commit_journal();
+        let (_, fields) = h.asof_innermost().unwrap().node(a).unwrap();
+        assert_eq!(fields[0], Value::Ref(b));
+        // A later allocation is not part of the deferred garbage.
+        let d = alloc_node(&mut h);
+        h.commit_journal();
+        assert!(!h.is_live(b) && !h.is_live(c), "b and c cascade at close");
+        assert!(h.is_live(d), "only what reclaim found is released");
+        assert_eq!(h.stats().reclaimed, 2);
+    }
+
+    #[test]
+    fn deferred_garbage_made_reachable_again_survives() {
+        let mut h = heap();
+        let a = alloc_node(&mut h);
+        h.root(a);
+        let b = alloc_node(&mut h);
+        let c = alloc_node(&mut h);
+        h.set_field(b, "next", Value::Ref(c)).unwrap();
+        h.set_field(a, "next", Value::Ref(b)).unwrap();
+        h.push_journal();
+        h.set_field(a, "next", Value::Null).unwrap();
+        h.reclaim();
+        // Rolling the layer back re-links b, so b and c stay.
+        h.abort_journal();
+        assert!(h.is_live(b) && h.is_live(c));
+        assert_eq!(h.stats().reclaimed, 0);
     }
 
     #[test]

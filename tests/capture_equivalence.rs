@@ -3,8 +3,17 @@
 //! call) and `CaptureMode::Lazy` (heap journal + as-of reconstruction)
 //! must classify identically — same marks, same outcomes, same journals —
 //! differing only in the capture statistics they report.
+//!
+//! The same holds for verification campaigns, whose masking hooks roll
+//! state back (and reclaim garbage) inside the injection wrappers' extent:
+//! the default engine (lazy capture, checkpoint-resume) must reproduce the
+//! eager from-scratch reference under both masking strategies.
 
-use atomask_suite::{Campaign, CampaignConfig, CaptureMode, RunResult, TraceMode};
+use atomask_suite::{
+    classify, Campaign, CampaignConfig, CampaignResult, CaptureMode, CheckpointStride, FnProgram,
+    MaskStrategy, MethodId, Policy, Profile, Program, RegistryBuilder, RunResult, TraceMode, Value,
+};
+use std::collections::HashSet;
 
 /// Cap per app: enough points to cross every app's non-atomic territory
 /// while keeping the differential sweep fast in debug builds.
@@ -75,5 +84,163 @@ fn eager_and_lazy_capture_classify_identically_across_the_suite() {
             "{}: journals diverge",
             spec.name
         );
+    }
+}
+
+/// Asserts two campaigns agree run for run and journal for journal, up
+/// to the capture statistics.
+fn assert_equivalent(label: &str, reference: &CampaignResult, other: &CampaignResult) {
+    assert_eq!(reference.total_points, other.total_points, "{label}");
+    assert_eq!(reference.baseline_calls, other.baseline_calls, "{label}");
+    assert_eq!(reference.runs.len(), other.runs.len(), "{label}");
+    for (r, o) in reference.runs.iter().zip(&other.runs) {
+        assert_eq!(
+            normalized(r),
+            normalized(o),
+            "{label} point {}: engines disagree",
+            r.injection_point
+        );
+    }
+    // The journals agree the same way: serialize both with the capture
+    // stats normalized and compare the text forms byte for byte.
+    let strip = |result: &CampaignResult| {
+        let mut journal = atomask_suite::CampaignJournal::new();
+        journal.bind(&result.program);
+        journal.record_baseline(result.total_points, &result.baseline_calls);
+        for run in &result.runs {
+            journal.record_run(&normalized(run));
+        }
+        journal.serialize()
+    };
+    assert_eq!(strip(reference), strip(other), "{label}: journals diverge");
+}
+
+/// A verification campaign: `program` with `strategy` wrappers around
+/// `mask_set`, woven inside the injection wrappers.
+fn masked_campaign<'p>(
+    program: &'p dyn Program,
+    mask_set: &HashSet<MethodId>,
+    strategy: MaskStrategy,
+    config: CampaignConfig,
+) -> Campaign<'p> {
+    let mask_set = mask_set.clone();
+    Campaign::new(program)
+        .with_inner_hook(move |_| strategy.hook(mask_set.clone()))
+        .config(config)
+}
+
+/// The path verification took before it ran on the detection engine:
+/// eager capture, every point from scratch.
+fn eager_from_scratch() -> CampaignConfig {
+    CampaignConfig {
+        checkpoint_stride: CheckpointStride::Off,
+        ..config(CaptureMode::Eager)
+    }
+}
+
+/// The default engine, flight recorder pinned off (see [`config`]).
+fn default_engine() -> CampaignConfig {
+    CampaignConfig {
+        trace: TraceMode::Off,
+        ..CampaignConfig::default()
+    }
+}
+
+#[test]
+fn verification_on_the_default_engine_matches_eager_from_scratch() {
+    let policy = Policy::default();
+    for spec in atomask_suite::apps::all_apps() {
+        let program = spec.program();
+        let detection = Campaign::new(&program)
+            .config(default_engine())
+            .max_points(CAP)
+            .run();
+        let mask_set = policy.mask_set(&classify(&detection, &policy.mark_filter()));
+        for strategy in [MaskStrategy::DeepCopy, MaskStrategy::UndoLog] {
+            let run = |config| {
+                masked_campaign(&program, &mask_set, strategy, config)
+                    .max_points(CAP)
+                    .run()
+            };
+            let label = format!("{} {strategy:?}", spec.name);
+            assert_equivalent(&label, &run(eager_from_scratch()), &run(default_engine()));
+        }
+    }
+}
+
+/// `Holder.drop(m)` drops the only reference to a `Leaf`, then calls the
+/// masked `M.boom`, which calls `M.inner`. An injection into `inner` makes
+/// the mask roll `boom` back and reclaim garbage while `drop`'s injection
+/// wrapper is still open — and that wrapper's before-graph still holds the
+/// leaf.
+fn reclaim_under_open_wrapper() -> FnProgram {
+    FnProgram::new(
+        "reclaim-under-open-wrapper",
+        || {
+            let mut rb = RegistryBuilder::new(Profile::java());
+            rb.class("Leaf", |c| {
+                c.field("v", Value::Int(1));
+            });
+            rb.class("M", |c| {
+                c.field("n", Value::Int(0));
+                c.method("boom", |ctx, this, _| {
+                    let n = ctx.get_int(this, "n");
+                    ctx.set(this, "n", Value::Int(n + 1));
+                    ctx.call(this, "inner", &[])
+                });
+                c.method("inner", |_, _, _| Ok(Value::Null));
+            });
+            rb.class("Holder", |c| {
+                c.field("f", Value::Null);
+                c.method("init", |ctx, this, _| {
+                    let leaf = ctx.new_object("Leaf", &[])?;
+                    ctx.set(this, "f", Value::Ref(leaf));
+                    Ok(Value::Null)
+                });
+                c.method("drop", |ctx, this, args| {
+                    ctx.set(this, "f", Value::Null);
+                    ctx.call_value(&args[0], "boom", &[])
+                });
+            });
+            rb.build()
+        },
+        |vm| {
+            let holder = vm.construct("Holder", &[])?;
+            vm.root(holder);
+            let m = vm.construct("M", &[])?;
+            vm.root(m);
+            vm.call(holder, "init", &[])?;
+            vm.call(holder, "drop", &[Value::Ref(m)])
+        },
+    )
+}
+
+#[test]
+fn mask_reclaim_inside_an_open_wrapper_keeps_the_before_graph() {
+    let program = reclaim_under_open_wrapper();
+    let registry = program.build_registry();
+    let boom = registry
+        .method_ids()
+        .find(|&m| registry.method_display(m) == "M::boom")
+        .expect("M::boom exists");
+    let mask_set = HashSet::from([boom]);
+    for strategy in [MaskStrategy::DeepCopy, MaskStrategy::UndoLog] {
+        let run = |config| masked_campaign(&program, &mask_set, strategy, config).run();
+        let reference = run(eager_from_scratch());
+        let nonatomic = reference
+            .runs
+            .iter()
+            .find(|r| r.marks.iter().any(|m| !m.atomic))
+            .expect("Holder::drop is marked non-atomic");
+        assert_equivalent(&format!("{strategy:?}"), &reference, &run(default_engine()));
+        // Replay minimizes inside verification campaigns too: the one
+        // surviving write is the dropped reference.
+        let replay = masked_campaign(&program, &mask_set, strategy, default_engine())
+            .replay(nonatomic.injection_point);
+        assert_eq!(replay.run.marks, nonatomic.marks, "{strategy:?}");
+        let divergence = replay.divergence.expect("non-atomic point is minimized");
+        assert_eq!(registry.method_display(divergence.method), "Holder::drop");
+        assert_eq!(divergence.minimal.len(), 1, "{strategy:?}");
+        assert_eq!(divergence.minimal[0].field, "f", "{strategy:?}");
     }
 }
