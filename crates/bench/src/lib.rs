@@ -226,9 +226,8 @@ fn measure_checkpoint(spec: &AppSpec) -> u128 {
 /// from-scratch sequential sweep with checkpoint-resume forced off (for
 /// the resume speedup), a sequential eager-capture sweep (for the
 /// capture-cost baseline), and a sweep with a live ring-buffer flight
-/// recorder. Every sweep pins its [`TraceMode`] so `ATOMASK_TRACE`
-/// cannot skew the numbers; checkpoint-resume runs at its default (auto)
-/// stride everywhere except the dedicated from-scratch leg.
+/// recorder. Checkpoint-resume runs at its default (auto) stride
+/// everywhere except the dedicated from-scratch leg.
 pub fn measure_detection(spec: &AppSpec, cap: Option<u64>, workers: usize) -> DetectionPerf {
     let (sequential_ns, points, snapshots_lazy, capture_bytes_lazy) = timed_sweep(
         spec,

@@ -2,7 +2,7 @@
 //! corrected-program validation.
 
 use atomask_inject::{
-    classify, Campaign, CampaignConfig, CampaignResult, Classification, RunHealth, TraceMode,
+    classify, Campaign, CampaignConfig, CampaignResult, Classification, RunHealth,
 };
 use atomask_mask::{verify_masked_configured, MaskStrategy, Policy};
 use atomask_mor::{MethodId, Program};
@@ -112,21 +112,6 @@ impl<'p> Pipeline<'p> {
     /// verification campaign.
     pub fn campaign_config(mut self, config: CampaignConfig) -> Self {
         self.campaign_config = config;
-        self
-    }
-
-    /// Sets the worker-thread count for both campaigns' injection sweeps
-    /// (`0` = auto, see [`CampaignConfig::workers`]).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.campaign_config.workers = workers;
-        self
-    }
-
-    /// Sets the flight-recorder mode for both campaigns (see
-    /// [`TraceMode`]); per-run event counts land in each campaign's
-    /// [`RunHealth`].
-    pub fn trace(mut self, trace: TraceMode) -> Self {
-        self.campaign_config.trace = trace;
         self
     }
 

@@ -32,9 +32,10 @@
 //! builds its **own** registry via [`Program::build_registry`] — method
 //! bodies stay `Rc`-shared, single-threaded closures — and ships finished
 //! [`RunResult`]s to an ordered writer on the campaign thread, which
-//! appends them to the journal in injection-point order. Journals and
-//! results are therefore bit-for-bit identical to the sequential sweep,
-//! whatever the worker count (see DESIGN.md, "Campaign execution").
+//! appends them to the journal in injection-point order. With one worker
+//! the same writer runs each point inline instead. Journals and results
+//! are therefore bit-for-bit identical whatever the worker count (see
+//! DESIGN.md, "Campaign execution").
 
 use crate::hook::{CaptureMode, CaptureStats, InjectionHook};
 use crate::journal::CampaignJournal;
@@ -70,21 +71,16 @@ pub fn stderr_diagnostics(message: &str) {
 /// a harness renders health from the journal instead).
 pub fn silent_diagnostics(_message: &str) {}
 
-/// Default event retention of ring-buffer sinks created by [`TraceMode`].
+/// A conventional event retention for [`TraceMode::Ring`] sinks.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Whether campaign runs record a flight-recorder trace
 /// ([`atomask_mor::TraceSink`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceMode {
-    /// Resolve from the `ATOMASK_TRACE` environment variable: `ring`
-    /// installs a [`RingBufferSink`] with [`DEFAULT_RING_CAPACITY`],
-    /// `ring:<n>` one retaining `n` events; anything else (or unset)
-    /// records nothing.
-    #[default]
-    Auto,
     /// No sink installed: every emission site compiles to a branch on
     /// `None`, the zero-overhead baseline.
+    #[default]
     Off,
     /// A [`RingBufferSink`] retaining the given number of events per run.
     Ring(usize),
@@ -96,18 +92,6 @@ impl TraceMode {
         match self {
             TraceMode::Off => None,
             TraceMode::Ring(capacity) => Some(capacity),
-            TraceMode::Auto => {
-                let v = std::env::var("ATOMASK_TRACE").ok()?;
-                let v = v.trim();
-                if v == "ring" {
-                    Some(DEFAULT_RING_CAPACITY)
-                } else {
-                    v.strip_prefix("ring:")?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n > 0)
-                }
-            }
         }
     }
 }
@@ -127,11 +111,9 @@ impl TraceMode {
 /// (`crates/inject/tests/checkpoint_equivalence.rs` proves it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CheckpointStride {
-    /// Resolve from the `ATOMASK_CKPT_STRIDE` environment variable: `off`
-    /// or `0` disables checkpoint-resume, a positive integer is used as
-    /// the stride; unset (or unparsable) picks `⌊√N⌋` for an `N`-point
-    /// sweep — the stride minimizing `checkpoint_cost·N/stride +
-    /// replay_cost·N·stride` when both costs are comparable.
+    /// `⌊√N⌋` for an `N`-point sweep — the stride minimizing
+    /// `checkpoint_cost·N/stride + replay_cost·N·stride` when both costs
+    /// are comparable.
     #[default]
     Auto,
     /// Never checkpoint: every injection run executes from program entry
@@ -148,24 +130,10 @@ impl CheckpointStride {
     /// checkpoint-resume off. Public so the bench harness can report the
     /// stride a sweep actually ran with.
     pub fn resolve(self, total_points: u64) -> Option<u64> {
-        let auto = || Some(total_points.isqrt().max(1));
         match self {
             CheckpointStride::Off => None,
             CheckpointStride::Every(n) => (n > 0).then_some(n),
-            CheckpointStride::Auto => match std::env::var("ATOMASK_CKPT_STRIDE") {
-                Err(_) => auto(),
-                Ok(v) => {
-                    let v = v.trim();
-                    if v.eq_ignore_ascii_case("off") || v == "0" {
-                        None
-                    } else {
-                        v.parse::<u64>()
-                            .ok()
-                            .filter(|n| *n > 0)
-                            .map_or_else(auto, Some)
-                    }
-                }
-            },
+            CheckpointStride::Auto => Some(total_points.isqrt().max(1)),
         }
     }
 }
@@ -267,7 +235,7 @@ pub struct CampaignConfig {
     /// [`std::thread::available_parallelism`]; auto-resolved campaigns
     /// fall back to sequential execution for small sweeps where thread
     /// setup would dominate. Any explicit value (config or environment)
-    /// is honored as-is. `1` forces the sequential path.
+    /// is honored as-is. `1` runs every point inline on the campaign thread.
     pub workers: usize,
     /// How injection wrappers capture pre-call state, in every campaign —
     /// masking verification included. Defaults to [`CaptureMode::Lazy`]
@@ -276,18 +244,15 @@ pub struct CampaignConfig {
     /// against.
     pub capture: CaptureMode,
     /// Whether runs record a flight-recorder trace. Defaults to
-    /// [`TraceMode::Auto`] (the `ATOMASK_TRACE` environment variable;
-    /// nothing when unset). Tracing costs no fuel, so marks, outcomes and
+    /// [`TraceMode::Off`]. Tracing costs no fuel, so marks, outcomes and
     /// fuel counts are identical whatever the mode — only the
     /// `trace_events` run statistic changes.
     pub trace: TraceMode,
     /// Checkpoint stride for checkpoint-resume sweeps. Defaults to
-    /// [`CheckpointStride::Auto`] (`ATOMASK_CKPT_STRIDE`, else `⌊√N⌋`).
-    /// Campaigns with an inner hook resume like any other. Two modes run
-    /// every point from scratch instead: a live flight recorder (a resumed
-    /// run cannot re-emit the prefix's trace events) and fast-forward off
-    /// (the literal Listing 1 loop stays the from-scratch reference).
-    /// Either way results and journals are bit-identical.
+    /// [`CheckpointStride::Auto`] (`⌊√N⌋`). Campaigns with an inner hook
+    /// resume like any other. A live flight recorder runs every point from
+    /// scratch instead (a resumed run cannot re-emit the prefix's trace
+    /// events); results and journals are bit-identical either way.
     pub checkpoint_stride: CheckpointStride,
     /// Where campaign warnings go. Defaults to [`stderr_diagnostics`].
     pub diagnostics: DiagnosticsFn,
@@ -579,7 +544,6 @@ pub struct Campaign<'p> {
     inner_hook: Option<InnerHookFactory>,
     max_points: Option<u64>,
     config: CampaignConfig,
-    fast_forward: bool,
 }
 
 impl std::fmt::Debug for Campaign<'_> {
@@ -600,19 +564,7 @@ impl<'p> Campaign<'p> {
             inner_hook: None,
             max_points: None,
             config: CampaignConfig::default(),
-            fast_forward: true,
         }
-    }
-
-    /// Enables or disables the injection wrappers' phase-gated fast-forward
-    /// (on by default). With it off, every sweep run counts points through
-    /// Listing 1's literal per-exception-type loop. The two modes are
-    /// equivalent by construction — this switch exists so the equivalence
-    /// can be *tested* at campaign level, and as an escape hatch while
-    /// debugging the gate itself.
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
-        self
     }
 
     /// Weaves an additional hook *inside* the injection wrappers in every
@@ -670,12 +622,6 @@ impl<'p> Campaign<'p> {
     /// [`CampaignConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
-        self
-    }
-
-    /// Sets the pre-call capture mode (see [`CampaignConfig::capture`]).
-    pub fn capture(mut self, mode: CaptureMode) -> Self {
-        self.config.capture = mode;
         self
     }
 
@@ -748,31 +694,16 @@ impl<'p> Campaign<'p> {
             .filter(|p| journal.run_for(*p).is_none())
             .collect();
         // Flight recorder and checkpoint-resume stride, resolved once for
-        // the whole sweep (the environment is read here, not per attempt).
-        // A stride of `None` runs every missing point from scratch: so do
-        // traced sweeps (a resumed run cannot re-emit the prefix's trace
-        // events) and sweeps with fast-forward off (the resumed hook's
-        // prefix seeding assumes the arithmetic counter, and the literal
-        // Listing 1 loop must stay a from-scratch reference).
+        // the whole sweep. A stride of `None` runs every missing point from
+        // scratch, as do traced sweeps: a resumed run cannot re-emit the
+        // prefix's trace events.
         let trace = self.config.trace.resolve();
-        let stride = if missing.is_empty() || trace.is_some() || !self.fast_forward {
+        let stride = if missing.is_empty() || trace.is_some() {
             None
         } else {
             self.config.checkpoint_stride.resolve(limit)
         };
-        let workers = plan_worker_count(
-            self.config.workers,
-            env_workers(),
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            missing.len(),
-        );
-        let runs = if workers <= 1 {
-            self.sweep_sequential(journal, &registry, limit, stride, trace)
-        } else {
-            self.sweep_parallel(journal, limit, &missing, workers, stride, trace)
-        };
+        let runs = self.sweep(journal, &registry, limit, &missing, stride, trace);
 
         CampaignResult {
             program: self.program.name().to_owned(),
@@ -783,65 +714,35 @@ impl<'p> Campaign<'p> {
         }
     }
 
-    /// The classic in-order sweep on the campaign thread.
-    fn sweep_sequential(
+    /// Executes the missing points and folds every point in `1..=limit`
+    /// into the journal in injection-point order. One worker runs each
+    /// point inline on the campaign thread, over the campaign's registry;
+    /// more workers shard the missing points across a thread pool and
+    /// feed the same ordered writer, so the journal and the returned runs
+    /// are bit-for-bit the same whatever the worker count.
+    ///
+    /// `max_failures` semantics: the writer counts unhealthy runs in point
+    /// order and, once the cap is reached, records every later point as
+    /// [`RunOutcome::Skipped`] — discarding any result a worker had
+    /// already produced speculatively for those points — and tells the
+    /// workers to stop claiming.
+    fn sweep(
         &self,
         journal: &mut CampaignJournal,
         registry: &Rc<Registry>,
         limit: u64,
-        stride: Option<u64>,
-        trace: Option<usize>,
-    ) -> Vec<RunResult> {
-        // One reusable VM universe for the whole sweep: every attempt
-        // resets it to the pristine epoch instead of rebuilding the heap
-        // and chain tables per injection point.
-        let mut vm = Vm::from_shared_registry(registry.clone());
-        let plan = stride.and_then(|s| self.record_plan(&mut vm, s));
-        let mut runs = Vec::with_capacity(limit as usize);
-        let mut unhealthy = 0u64;
-        for injection_point in 1..=limit {
-            if let Some(done) = journal.run_for(injection_point) {
-                let done = done.clone();
-                if !done.is_healthy() {
-                    unhealthy += 1;
-                }
-                runs.push(done);
-                continue;
-            }
-            let run = if self.config.max_failures.is_some_and(|cap| unhealthy >= cap) {
-                RunResult::skipped(injection_point)
-            } else {
-                self.run_point(&mut vm, injection_point, plan.as_ref(), trace)
-            };
-            if !run.is_healthy() {
-                unhealthy += 1;
-            }
-            journal.record_run(&run);
-            runs.push(run);
-        }
-        runs
-    }
-
-    /// Shards the missing points across `workers` threads; an ordered
-    /// writer on this thread folds results back in injection-point order,
-    /// so the journal and the returned runs are bit-for-bit what the
-    /// sequential sweep produces.
-    ///
-    /// `max_failures` semantics under sharding: the writer counts
-    /// unhealthy runs in point order (exactly like the sequential loop)
-    /// and, once the cap is reached, records every later point as
-    /// [`RunOutcome::Skipped`] — discarding any result a worker had
-    /// already produced speculatively for those points — and tells the
-    /// workers to stop claiming.
-    fn sweep_parallel(
-        &self,
-        journal: &mut CampaignJournal,
-        limit: u64,
         missing: &[u64],
-        workers: usize,
         stride: Option<u64>,
         trace: Option<usize>,
     ) -> Vec<RunResult> {
+        let workers = plan_worker_count(
+            self.config.workers,
+            env_workers(),
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            missing.len(),
+        );
         let next = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<RunResult>();
@@ -858,18 +759,16 @@ impl<'p> Campaign<'p> {
         std::thread::scope(|scope| {
             let next = &next;
             let cancelled = &cancelled;
-            for _ in 0..workers {
+            let mut inline = (workers <= 1).then(|| self.executor(registry.clone(), stride, trace));
+            let pool = if inline.is_some() { 0 } else { workers };
+            for _ in 0..pool {
                 let tx = tx.clone();
                 scope.spawn(move || {
-                    // Each worker owns a private registry + VM universe;
-                    // the program promises identical builds, so ids (and
-                    // thus results) are identical across workers. The VM is
-                    // recycled across every point the worker claims. Plans
-                    // hold `Rc`s, so each worker records its own from its
-                    // private universe.
-                    let registry = Rc::new(self.program.build_registry());
-                    let mut vm = Vm::from_shared_registry(registry.clone());
-                    let plan = stride.and_then(|s| self.record_plan(&mut vm, s));
+                    // Each worker owns a private registry; the program
+                    // promises identical builds, so ids (and thus results)
+                    // are identical across workers.
+                    let mut execute =
+                        self.executor(Rc::new(self.program.build_registry()), stride, trace);
                     'claim: while !cancelled.load(Ordering::Relaxed) {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
                         if start >= missing.len() {
@@ -877,23 +776,8 @@ impl<'p> Campaign<'p> {
                         }
                         let end = (start + chunk).min(missing.len());
                         for &point in &missing[start..end] {
-                            if cancelled.load(Ordering::Relaxed) {
-                                break 'claim;
-                            }
-                            // `run_point` already isolates guest panics; a
-                            // panic *outside* it is a harness bug, but a
-                            // poisoned result keeps the writer from waiting
-                            // forever on the claimed point. The recycled VM
-                            // is safe to keep either way: the next attempt's
-                            // `reset_for_run` discards whatever the unwind
-                            // left.
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                self.run_point(&mut vm, point, plan.as_ref(), trace)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                RunResult::harness_panic(point, &panic_message(payload.as_ref()))
-                            });
-                            if tx.send(run).is_err() {
+                            if cancelled.load(Ordering::Relaxed) || tx.send(execute(point)).is_err()
+                            {
                                 break 'claim;
                             }
                         }
@@ -902,32 +786,33 @@ impl<'p> Campaign<'p> {
             }
             drop(tx);
 
-            // The ordered writer: reproduce the sequential loop's journal
-            // appends and cap accounting exactly, buffering out-of-order
-            // arrivals.
+            // The ordered writer: journal appends and cap accounting in
+            // point order, buffering out-of-order arrivals.
             let mut pending: HashMap<u64, RunResult> = HashMap::new();
             let mut unhealthy = 0u64;
             for injection_point in 1..=limit {
                 let run = if let Some(done) = journal.run_for(injection_point) {
                     done.clone()
-                } else if self.config.max_failures.is_some_and(|cap| unhealthy >= cap) {
-                    cancelled.store(true, Ordering::Relaxed);
-                    let run = RunResult::skipped(injection_point);
-                    journal.record_run(&run);
-                    run
                 } else {
-                    let run = loop {
-                        if let Some(run) = pending.remove(&injection_point) {
-                            break run;
-                        }
-                        match rx.recv() {
-                            Ok(run) if run.injection_point == injection_point => break run,
-                            Ok(run) => {
-                                pending.insert(run.injection_point, run);
+                    let run = if self.config.max_failures.is_some_and(|cap| unhealthy >= cap) {
+                        cancelled.store(true, Ordering::Relaxed);
+                        RunResult::skipped(injection_point)
+                    } else if let Some(execute) = &mut inline {
+                        execute(injection_point)
+                    } else {
+                        loop {
+                            if let Some(run) = pending.remove(&injection_point) {
+                                break run;
                             }
-                            Err(_) => unreachable!(
-                                "worker pool exited before delivering point {injection_point}"
-                            ),
+                            match rx.recv() {
+                                Ok(run) if run.injection_point == injection_point => break run,
+                                Ok(run) => {
+                                    pending.insert(run.injection_point, run);
+                                }
+                                Err(_) => unreachable!(
+                                    "worker pool exited before delivering point {injection_point}"
+                                ),
+                            }
                         }
                     };
                     journal.record_run(&run);
@@ -946,6 +831,32 @@ impl<'p> Campaign<'p> {
         runs
     }
 
+    /// A point executor over one recycled VM universe on `registry` (and
+    /// its own sweep plan, when `stride` asks for one: plans hold `Rc`s, so
+    /// every worker records its own): every point it is handed runs to a
+    /// final [`RunResult`]. `run_point` already isolates
+    /// guest panics; a panic *outside* it is a harness bug, recorded as
+    /// [`RunResult::harness_panic`] so the ordered writer never waits on
+    /// the point. The VM is safe to keep either way: the next attempt's
+    /// `reset_for_run` discards whatever the unwind left.
+    fn executor(
+        &self,
+        registry: Rc<Registry>,
+        stride: Option<u64>,
+        trace: Option<usize>,
+    ) -> impl FnMut(u64) -> RunResult + '_ {
+        let mut vm = Vm::from_shared_registry(registry);
+        let plan = stride.and_then(|s| self.record_plan(&mut vm, s));
+        move |point| {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.run_point(&mut vm, point, plan.as_ref(), trace)
+            }))
+            .unwrap_or_else(|payload| {
+                RunResult::harness_panic(point, &panic_message(payload.as_ref()))
+            })
+        }
+    }
+
     /// Runs one injection point to a final outcome, retrying unhealthy runs
     /// per the [`RetryPolicy`] with a scaled-up budget. With a sweep plan,
     /// every attempt resumes from the nearest checkpoint strictly before
@@ -962,9 +873,8 @@ impl<'p> Campaign<'p> {
         let mut retries = 0u32;
         let mut start = plan.map_or(Start::Scratch, |p| p.start_for(injection_point));
         loop {
-            let hook = InjectionHook::with_injection_point(injection_point)
-                .capture(self.config.capture)
-                .fast_forward(self.fast_forward);
+            let hook =
+                InjectionHook::with_injection_point(injection_point).capture(self.config.capture);
             let tracer = trace.map(|cap| Rc::new(RefCell::new(RingBufferSink::new(cap))));
             let Some((mut run, _)) = self.attempt(vm, injection_point, budget, start, hook, tracer)
             else {
@@ -1145,13 +1055,14 @@ impl<'p> Campaign<'p> {
     /// recorded as [`RunOutcome::Skipped`] is executed for real here, under
     /// a fresh `config.budget`.
     ///
-    /// Unlike the sweep, replay always runs with fast-forward **off**:
-    /// it is the debugging/reference execution, so it counts points through
-    /// Listing 1's literal per-exception-type loop and performs the full
-    /// structural comparison, never the fingerprint fast path. The two
-    /// modes are equivalent by construction (and property-tested), so a
-    /// replay that disagrees with the sweep's journal directly indicts the
-    /// fast-forward gate.
+    /// Replay is the one literal-loop reference: unlike the sweep it runs
+    /// every point from scratch with the injection wrappers' fast-forward
+    /// **off**, so it counts points through Listing 1's per-exception-type
+    /// loop and performs the full structural comparison, never the
+    /// fingerprint fast path. The sweep must agree with it run for run
+    /// (`tests/fastforward_equivalence.rs`), so a replay that disagrees
+    /// with the sweep's journal indicts the fast-forward gate or the
+    /// checkpoint-resume engine.
     ///
     /// The replay ring is large (`2^20` events); if a run emits more,
     /// [`ReplayReport::trace_dropped`] says how many early events fell off.
@@ -1687,10 +1598,48 @@ mod tests {
         assert_eq!(CheckpointStride::Off.resolve(100), None);
         assert_eq!(CheckpointStride::Every(7).resolve(100), Some(7));
         assert_eq!(CheckpointStride::Every(0).resolve(100), None);
-        if std::env::var("ATOMASK_CKPT_STRIDE").is_err() {
-            assert_eq!(CheckpointStride::Auto.resolve(100), Some(10));
-            assert_eq!(CheckpointStride::Auto.resolve(0), Some(1), "floor of 1");
-            assert_eq!(CheckpointStride::Auto.resolve(10_000), Some(100));
+        assert_eq!(CheckpointStride::Auto.resolve(100), Some(10));
+        assert_eq!(CheckpointStride::Auto.resolve(0), Some(1), "floor of 1");
+        assert_eq!(CheckpointStride::Auto.resolve(10_000), Some(100));
+    }
+
+    #[test]
+    fn harness_panics_are_journaled_at_every_worker_count() {
+        // An inner-hook factory runs outside the guest's panic isolation,
+        // so a panicking factory is a harness fault. Whether the point runs
+        // inline or on a worker, the sweep records it as panicked and
+        // completes.
+        use std::sync::Arc;
+        let p = two_level_program();
+        for workers in [1, 2] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let result = Campaign::new(&p)
+                .with_inner_hook({
+                    let calls = Arc::clone(&calls);
+                    move |_| {
+                        // Call 1 is the baseline run; call 3 is the second
+                        // injection attempt.
+                        if calls.fetch_add(1, Ordering::Relaxed) == 2 {
+                            panic!("factory fault");
+                        }
+                        Rc::new(RefCell::new(HookChain::new(Vec::new())))
+                    }
+                })
+                .workers(workers)
+                .checkpoint_stride(CheckpointStride::Off)
+                .run();
+            assert_eq!(result.injections(), 4, "workers {workers}");
+            let faults: Vec<&RunResult> = result
+                .runs
+                .iter()
+                .filter(|r| r.top_error.as_deref() == Some("panic: harness: factory fault"))
+                .collect();
+            assert_eq!(faults.len(), 1, "workers {workers}");
+            assert_eq!(faults[0].outcome, RunOutcome::Panicked);
+            assert_eq!(
+                result.journal().run_for(faults[0].injection_point),
+                Some(faults[0])
+            );
         }
     }
 
@@ -1758,13 +1707,7 @@ mod tests {
         );
         let sweep = |stride| {
             BODY_RUNS.with(|b| b.set(0));
-            // Trace pinned off: a live recorder runs every point from
-            // scratch, whatever the stride.
-            let result = Campaign::new(&p)
-                .workers(1)
-                .trace(TraceMode::Off)
-                .checkpoint_stride(stride)
-                .run();
+            let result = Campaign::new(&p).workers(1).checkpoint_stride(stride).run();
             (result, BODY_RUNS.with(|b| b.get()))
         };
         let (scratch, scratch_bodies) = sweep(CheckpointStride::Off);

@@ -19,21 +19,12 @@ use atomask_inject::{
 use atomask_mask::{MaskStrategy, Policy};
 use atomask_mor::{Budget, FnProgram, Profile, Program, RegistryBuilder, Value};
 
-/// Strides under test. `Auto` is only meaningful when the environment
-/// does not override it; [`strides`] filters accordingly.
-const FIXED_STRIDES: [CheckpointStride; 2] =
-    [CheckpointStride::Every(1), CheckpointStride::Every(7)];
-
-fn strides() -> Vec<CheckpointStride> {
-    let mut s = FIXED_STRIDES.to_vec();
-    // With `ATOMASK_CKPT_STRIDE` set, `Auto` resolves to the env value —
-    // still valid, but then it duplicates a fixed stride rather than
-    // exercising the √N default. Only test `Auto` in a clean environment.
-    if std::env::var_os("ATOMASK_CKPT_STRIDE").is_none() {
-        s.push(CheckpointStride::Auto);
-    }
-    s
-}
+/// Strides under test.
+const STRIDES: [CheckpointStride; 3] = [
+    CheckpointStride::Every(1),
+    CheckpointStride::Every(7),
+    CheckpointStride::Auto,
+];
 
 fn config(workers: usize, budget: Budget) -> CampaignConfig {
     CampaignConfig {
@@ -87,7 +78,7 @@ fn check_matrix(p: &FnProgram, budget: Budget) -> CampaignResult {
     let mut sequential_reference = None;
     for workers in [1usize, 4] {
         let reference = sweep(p, workers, budget, CheckpointStride::Off);
-        for stride in strides() {
+        for stride in STRIDES {
             let resumed = sweep(p, workers, budget, stride);
             let label = format!("{} workers={workers} stride={stride:?}", p.name());
             assert_bit_identical(&label, &reference, &resumed);
@@ -153,11 +144,7 @@ fn inner_hook_campaigns_resume_bit_identically() {
                     .run()
             };
             let reference = sweep(CheckpointStride::Off);
-            let mut strides = vec![CheckpointStride::Every(1)];
-            if std::env::var_os("ATOMASK_CKPT_STRIDE").is_none() {
-                strides.push(CheckpointStride::Auto);
-            }
-            for stride in strides {
+            for stride in [CheckpointStride::Every(1), CheckpointStride::Auto] {
                 let label = format!("{name} {strategy:?} stride={stride:?}");
                 assert_bit_identical(&label, &reference, &sweep(stride));
             }

@@ -1,16 +1,16 @@
-//! Property tests of the phase-gated fast-forward: a sweep that advances
-//! the point counter arithmetically while disarmed must be bit-for-bit
-//! identical — run records *and* serialized journals — to a sweep walking
-//! Listing 1's literal per-exception-type loop, for every worker count,
-//! both capture modes, and with the flight recorder on or off.
+//! The sweep against the literal-loop reference: every run a campaign
+//! journals — phase-gated fast-forward counting, checkpoint-resumed
+//! prefixes, lazy or eager capture, one worker or several, flight
+//! recorder on or off — must equal the run [`Campaign::replay`] produces
+//! for that point from scratch, walking Listing 1's per-exception-type
+//! loop with fast-forward off.
 //!
 //! This is the campaign-level proof obligation behind turning the gate on
-//! by default (and behind `Campaign::replay` keeping it off: since the two
-//! modes agree everywhere, a replay/sweep mismatch indicts the gate).
+//! by default: since the two agree everywhere, a replay/sweep mismatch
+//! indicts the gate or the resume engine.
 
-use atomask_inject::{classify, Campaign, CampaignConfig, CaptureMode, MarkFilter, TraceMode};
+use atomask_inject::{Campaign, CampaignConfig, CaptureMode, TraceMode};
 use atomask_mor::{Budget, FnProgram, Profile, RegistryBuilder, Value};
-use proptest::prelude::*;
 
 /// A mutating call tree whose methods carry *different* declared-exception
 /// counts, so the fast-forward arithmetic advances the counter by a
@@ -78,62 +78,44 @@ fn base_config(workers: usize, capture: CaptureMode, trace: TraceMode) -> Campai
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Striped-tree shapes under test: `(depth, fanout)`.
+const SHAPES: [(u8, u8); 6] = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)];
 
-    /// The gate equivalence itself: identical runs, identical serialized
-    /// journals, identical classification — across worker counts and both
-    /// capture modes, with the recorder pinned off so `ATOMASK_TRACE`
-    /// cannot skew either side.
-    #[test]
-    fn fast_forward_sweep_is_bit_identical(
-        depth in 0u8..3,
-        fanout in 1u8..3,
-        workers in 1usize..4,
-        eager in any::<bool>(),
-    ) {
-        let capture = if eager { CaptureMode::Eager } else { CaptureMode::Lazy };
+/// Every run of every sweep equals its replay. Replay always records a
+/// trace, so its `trace_events` count is zeroed against untraced sweeps
+/// and compared exactly against traced ones (event counts do not depend
+/// on the ring's capacity).
+#[test]
+fn every_sweep_run_equals_its_replay() {
+    for (depth, fanout) in SHAPES {
         let p = striped_tree(depth, fanout);
-        let gated = Campaign::new(&p)
-            .config(base_config(workers, capture, TraceMode::Off))
-            .run();
-        let reference = Campaign::new(&p)
-            .fast_forward(false)
-            .config(base_config(workers, capture, TraceMode::Off))
-            .run();
-        prop_assert_eq!(&gated.runs, &reference.runs);
-        prop_assert_eq!(gated.total_points, reference.total_points);
-        prop_assert_eq!(&gated.baseline_calls, &reference.baseline_calls);
-        prop_assert_eq!(
-            gated.journal().serialize(),
-            reference.journal().serialize()
-        );
-        let cg = classify(&gated, &MarkFilter::default());
-        let cr = classify(&reference, &MarkFilter::default());
-        prop_assert_eq!(cg.method_counts, cr.method_counts);
-    }
-
-    /// With a live ring sink the equivalence extends to the flight
-    /// recorder: the disarmed prefix emits no per-call events in either
-    /// mode, so per-run event counts match exactly.
-    #[test]
-    fn fast_forward_preserves_trace_event_counts(
-        depth in 1u8..3,
-        fanout in 1u8..3,
-    ) {
-        let p = striped_tree(depth, fanout);
-        let trace = TraceMode::Ring(4096);
-        let gated = Campaign::new(&p)
-            .config(base_config(1, CaptureMode::Lazy, trace))
-            .run();
-        let reference = Campaign::new(&p)
-            .fast_forward(false)
-            .config(base_config(1, CaptureMode::Lazy, trace))
-            .run();
-        prop_assert_eq!(&gated.runs, &reference.runs);
-        let gated_events: Vec<u64> = gated.runs.iter().map(|r| r.trace_events).collect();
-        let ref_events: Vec<u64> = reference.runs.iter().map(|r| r.trace_events).collect();
-        prop_assert_eq!(gated_events, ref_events);
+        for workers in 1..=3 {
+            for capture in [CaptureMode::Eager, CaptureMode::Lazy] {
+                for trace in [TraceMode::Off, TraceMode::Ring(4096)] {
+                    let label = format!("{depth}x{fanout} workers={workers} {capture:?} {trace:?}");
+                    let campaign = Campaign::new(&p).config(base_config(workers, capture, trace));
+                    let result = campaign.run();
+                    assert_eq!(result.injections() as u64, result.total_points, "{label}");
+                    for run in &result.runs {
+                        let point = run.injection_point;
+                        // Replay does not retry, so a retried run would
+                        // compare against a different attempt.
+                        assert_eq!(run.retries, 0, "{label} point {point}: retried");
+                        let mut replayed = campaign.replay(point).run;
+                        if trace == TraceMode::Off {
+                            assert_eq!(run.trace_events, 0, "{label} point {point}");
+                            replayed.trace_events = 0;
+                        } else {
+                            assert!(run.trace_events > 0, "{label} point {point}: untraced");
+                        }
+                        assert_eq!(
+                            replayed, *run,
+                            "{label} point {point}: sweep and replay differ"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -8,6 +8,11 @@
 //! state back (and reclaim garbage) inside the injection wrappers' extent:
 //! the default engine (lazy capture, checkpoint-resume) must reproduce the
 //! eager from-scratch reference under both masking strategies.
+//!
+//! Tracing is observation only: a ring-buffer flight recorder changes no
+//! run of any campaign over the suite beyond its event count, and the
+//! traced sweep agrees with [`Campaign::replay`], the literal-loop
+//! reference.
 
 use atomask_suite::{
     classify, Campaign, CampaignConfig, CampaignResult, CaptureMode, CheckpointStride, FnProgram,
@@ -30,13 +35,19 @@ fn normalized(run: &RunResult) -> RunResult {
     run
 }
 
+/// Zeroes the one field a flight recorder changes.
+fn untraced(run: &RunResult) -> RunResult {
+    let mut run = run.clone();
+    run.trace_events = 0;
+    run
+}
+
+/// The flight recorder stays off (the default): lazy capture emits journal
+/// push/commit trace events that eager capture has no reason to, so under
+/// a live recorder the `trace_events` counts would differ by design.
 fn config(capture: CaptureMode) -> CampaignConfig {
     CampaignConfig {
         capture,
-        // Pinned off, not Auto: lazy capture emits journal push/commit
-        // trace events that eager capture has no reason to, so under a
-        // live recorder the `trace_events` counts would differ by design.
-        trace: TraceMode::Off,
         ..CampaignConfig::default()
     }
 }
@@ -87,28 +98,33 @@ fn eager_and_lazy_capture_classify_identically_across_the_suite() {
     }
 }
 
-/// Asserts two campaigns agree run for run and journal for journal, up
-/// to the capture statistics.
-fn assert_equivalent(label: &str, reference: &CampaignResult, other: &CampaignResult) {
+/// Asserts two campaigns agree run for run and journal for journal, once
+/// both sides' runs pass through `normalize`.
+fn assert_equivalent(
+    label: &str,
+    reference: &CampaignResult,
+    other: &CampaignResult,
+    normalize: fn(&RunResult) -> RunResult,
+) {
     assert_eq!(reference.total_points, other.total_points, "{label}");
     assert_eq!(reference.baseline_calls, other.baseline_calls, "{label}");
     assert_eq!(reference.runs.len(), other.runs.len(), "{label}");
     for (r, o) in reference.runs.iter().zip(&other.runs) {
         assert_eq!(
-            normalized(r),
-            normalized(o),
+            normalize(r),
+            normalize(o),
             "{label} point {}: engines disagree",
             r.injection_point
         );
     }
-    // The journals agree the same way: serialize both with the capture
-    // stats normalized and compare the text forms byte for byte.
+    // The journals agree the same way: serialize both with the runs
+    // normalized and compare the text forms byte for byte.
     let strip = |result: &CampaignResult| {
         let mut journal = atomask_suite::CampaignJournal::new();
         journal.bind(&result.program);
         journal.record_baseline(result.total_points, &result.baseline_calls);
         for run in &result.runs {
-            journal.record_run(&normalized(run));
+            journal.record_run(&normalize(run));
         }
         journal.serialize()
     };
@@ -138,12 +154,9 @@ fn eager_from_scratch() -> CampaignConfig {
     }
 }
 
-/// The default engine, flight recorder pinned off (see [`config`]).
+/// The default engine: lazy capture, checkpoint-resume, no recorder.
 fn default_engine() -> CampaignConfig {
-    CampaignConfig {
-        trace: TraceMode::Off,
-        ..CampaignConfig::default()
-    }
+    CampaignConfig::default()
 }
 
 #[test]
@@ -163,7 +176,61 @@ fn verification_on_the_default_engine_matches_eager_from_scratch() {
                     .run()
             };
             let label = format!("{} {strategy:?}", spec.name);
-            assert_equivalent(&label, &run(eager_from_scratch()), &run(default_engine()));
+            assert_equivalent(
+                &label,
+                &run(eager_from_scratch()),
+                &run(default_engine()),
+                normalized,
+            );
+        }
+    }
+}
+
+/// Asserts a traced campaign equals its untraced twin up to event counts,
+/// and that the recorder saw events.
+fn assert_trace_is_observation_only(label: &str, off: &CampaignResult, ring: &CampaignResult) {
+    assert_eq!(
+        off.health().trace_events,
+        0,
+        "{label}: untraced sweep traced"
+    );
+    assert!(
+        ring.health().trace_events > 0,
+        "{label}: recorder saw nothing"
+    );
+    assert_equivalent(label, off, ring, untraced);
+}
+
+#[test]
+fn ring_tracing_changes_only_event_counts_across_the_suite() {
+    let policy = Policy::default();
+    let ring = CampaignConfig {
+        trace: TraceMode::Ring(4096),
+        ..default_engine()
+    };
+    for spec in atomask_suite::apps::all_apps() {
+        let program = spec.program();
+        let detect = |config| Campaign::new(&program).config(config).max_points(CAP).run();
+        let detection = detect(default_engine());
+        assert_trace_is_observation_only(spec.name, &detection, &detect(ring));
+        let mask_set = policy.mask_set(&classify(&detection, &policy.mark_filter()));
+        for strategy in [MaskStrategy::DeepCopy, MaskStrategy::UndoLog] {
+            let label = format!("{} {strategy:?}", spec.name);
+            let verify =
+                |config| masked_campaign(&program, &mask_set, strategy, config).max_points(CAP);
+            let campaign = verify(ring);
+            let traced = campaign.run();
+            assert_trace_is_observation_only(&label, &verify(default_engine()).run(), &traced);
+            // Replay records its own trace; its event count equals the
+            // traced sweep's exactly.
+            for run in traced.runs.iter().step_by(7) {
+                assert_eq!(
+                    campaign.replay(run.injection_point).run,
+                    *run,
+                    "{label} point {}: sweep and replay differ",
+                    run.injection_point
+                );
+            }
         }
     }
 }
@@ -232,7 +299,12 @@ fn mask_reclaim_inside_an_open_wrapper_keeps_the_before_graph() {
             .iter()
             .find(|r| r.marks.iter().any(|m| !m.atomic))
             .expect("Holder::drop is marked non-atomic");
-        assert_equivalent(&format!("{strategy:?}"), &reference, &run(default_engine()));
+        assert_equivalent(
+            &format!("{strategy:?}"),
+            &reference,
+            &run(default_engine()),
+            normalized,
+        );
         // Replay minimizes inside verification campaigns too: the one
         // surviving write is the dropped reference.
         let replay = masked_campaign(&program, &mask_set, strategy, default_engine())
