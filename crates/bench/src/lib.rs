@@ -11,10 +11,7 @@
 #![warn(missing_docs)]
 
 use atomask::report::{evaluate, AppEvaluation};
-use atomask::{
-    Campaign, CampaignConfig, CaptureMode, CheckpointStride, Lang, Program, TraceMode, Vm,
-    DEFAULT_RING_CAPACITY,
-};
+use atomask::{Campaign, CampaignConfig, CaptureMode, CheckpointStride, Lang, Program, Vm};
 use atomask_apps::AppSpec;
 use std::hint::black_box;
 use std::time::Instant;
@@ -71,9 +68,6 @@ pub struct DetectionPerf {
     pub capture_bytes_eager: u64,
     /// Approximate bytes captured by the lazy-capture sweep.
     pub capture_bytes_lazy: u64,
-    /// Wall time of a sequential lazy from-scratch sweep with a per-run
-    /// ring-buffer sink installed, ns.
-    pub ring_trace_ns: u128,
 }
 
 impl DetectionPerf {
@@ -127,15 +121,6 @@ impl DetectionPerf {
         }
         self.scratch_ns as f64 / self.sequential_ns as f64
     }
-
-    /// Percentage overhead of a live ring-buffer sink over the from-scratch
-    /// sweep (both legs without checkpoint-resume).
-    pub fn trace_ring_overhead_pct(&self) -> f64 {
-        if self.scratch_ns == 0 {
-            return 0.0;
-        }
-        100.0 * (self.ring_trace_ns as f64 / self.scratch_ns as f64 - 1.0)
-    }
 }
 
 /// Timed sweep iterations per configuration (after one untimed warmup);
@@ -166,7 +151,6 @@ fn timed_sweep(
     cap: Option<u64>,
     workers: usize,
     capture: CaptureMode,
-    trace: TraceMode,
     stride: CheckpointStride,
 ) -> (u128, u64, u64, u64) {
     let run_once = || {
@@ -174,7 +158,6 @@ fn timed_sweep(
         let mut campaign = Campaign::new(&program).config(CampaignConfig {
             workers,
             capture,
-            trace,
             checkpoint_stride: stride,
             ..CampaignConfig::default()
         });
@@ -224,55 +207,22 @@ fn measure_checkpoint(spec: &AppSpec) -> u128 {
 /// Profiles one application's detection campaign: a sequential and a
 /// `workers`-way sharded sweep under lazy capture (for the speedup), a
 /// from-scratch sequential sweep with checkpoint-resume forced off (for
-/// the resume speedup), a sequential eager-capture sweep (for the
-/// capture-cost baseline), and a sweep with a live ring-buffer flight
-/// recorder. Checkpoint-resume runs at its default (auto) stride
-/// everywhere except the dedicated from-scratch leg.
+/// the resume speedup), and a sequential eager-capture sweep (for the
+/// capture-cost baseline). Checkpoint-resume runs at its default (auto)
+/// stride everywhere except the dedicated from-scratch leg.
 pub fn measure_detection(spec: &AppSpec, cap: Option<u64>, workers: usize) -> DetectionPerf {
-    let (sequential_ns, points, snapshots_lazy, capture_bytes_lazy) = timed_sweep(
-        spec,
-        cap,
-        1,
-        CaptureMode::Lazy,
-        TraceMode::Off,
-        CheckpointStride::Auto,
-    );
+    let (sequential_ns, points, snapshots_lazy, capture_bytes_lazy) =
+        timed_sweep(spec, cap, 1, CaptureMode::Lazy, CheckpointStride::Auto);
     let (parallel_ns, _, _, _) = timed_sweep(
         spec,
         cap,
         workers,
         CaptureMode::Lazy,
-        TraceMode::Off,
         CheckpointStride::Auto,
     );
-    let (scratch_ns, _, _, _) = timed_sweep(
-        spec,
-        cap,
-        1,
-        CaptureMode::Lazy,
-        TraceMode::Off,
-        CheckpointStride::Off,
-    );
-    let (eager_ns, _, snapshots_eager, capture_bytes_eager) = timed_sweep(
-        spec,
-        cap,
-        1,
-        CaptureMode::Eager,
-        TraceMode::Off,
-        CheckpointStride::Auto,
-    );
-    // The tracing leg runs with checkpoint-resume off: a live sink gates
-    // the resume engine anyway (replayed prefixes emit no events), so
-    // comparing against a resumed baseline would book the missing resume
-    // speedup as recorder overhead. Its overhead is against `scratch_ns`.
-    let (ring_trace_ns, _, _, _) = timed_sweep(
-        spec,
-        cap,
-        1,
-        CaptureMode::Lazy,
-        TraceMode::Ring(DEFAULT_RING_CAPACITY),
-        CheckpointStride::Off,
-    );
+    let (scratch_ns, _, _, _) = timed_sweep(spec, cap, 1, CaptureMode::Lazy, CheckpointStride::Off);
+    let (eager_ns, _, snapshots_eager, capture_bytes_eager) =
+        timed_sweep(spec, cap, 1, CaptureMode::Eager, CheckpointStride::Auto);
     DetectionPerf {
         name: spec.name.to_owned(),
         lang: spec.lang,
@@ -288,7 +238,6 @@ pub fn measure_detection(spec: &AppSpec, cap: Option<u64>, workers: usize) -> De
         snapshots_lazy,
         capture_bytes_eager,
         capture_bytes_lazy,
-        ring_trace_ns,
     }
 }
 
@@ -353,18 +302,6 @@ pub fn detection_perf_json(rows: &[DetectionPerf], workers: usize) -> String {
         rows.iter()
             .map(DetectionPerf::snapshot_reduction_pct)
             .fold(0.0, f64::max)
-    ));
-    let sum = |f: fn(&DetectionPerf) -> u128| rows.iter().map(f).sum::<u128>();
-    let overall_pct = |num: u128, den: u128| {
-        if den == 0 {
-            0.0
-        } else {
-            100.0 * (num as f64 / den as f64 - 1.0)
-        }
-    };
-    out.push_str(&format!(
-        "  \"trace_ring_overhead_pct\": {:.1},\n",
-        overall_pct(sum(|r| r.ring_trace_ns), sum(|r| r.scratch_ns))
     ));
     out.push_str("  \"apps\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -438,16 +375,8 @@ pub fn detection_perf_json(rows: &[DetectionPerf], workers: usize) -> String {
             r.capture_bytes_eager
         ));
         out.push_str(&format!(
-            "      \"capture_bytes_lazy\": {},\n",
+            "      \"capture_bytes_lazy\": {}\n",
             r.capture_bytes_lazy
-        ));
-        out.push_str(&format!(
-            "      \"ring_trace_ms\": {:.3},\n",
-            r.ring_trace_ns as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "      \"trace_ring_overhead_pct\": {:.1}\n",
-            r.trace_ring_overhead_pct()
         ));
         out.push_str(if i + 1 == rows.len() {
             "    }\n"
@@ -493,7 +422,6 @@ mod tests {
         let parsed = parse_sequential_pps(&json);
         assert_eq!(parsed.len(), 1);
         assert!((parsed[0] - perf.points_per_sec(perf.sequential_ns)).abs() < 0.1);
-        assert!(json.contains("\"ring_trace_ms\""));
         assert!(json.contains("\"resume_points_per_sec\""));
         assert!(json.contains("\"resume_speedup\""));
         assert!(json.contains("\"checkpoint_ms\""));
@@ -523,7 +451,6 @@ mod tests {
             snapshots_lazy: 0,
             capture_bytes_eager: 0,
             capture_bytes_lazy: 0,
-            ring_trace_ns: 0,
         };
         assert_eq!(perf.speedup(), 1.0);
         assert_eq!(perf.points_per_sec(0), 0.0);
@@ -531,7 +458,6 @@ mod tests {
         assert_eq!(perf.capture_speedup(), 1.0);
         assert_eq!(perf.total_speedup(), 1.0);
         assert_eq!(perf.resume_speedup(), 1.0);
-        assert_eq!(perf.trace_ring_overhead_pct(), 0.0);
     }
 
     #[test]

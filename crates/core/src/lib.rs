@@ -54,7 +54,7 @@ pub use atomask_inject::{
     CampaignConfig, CampaignJournal, CampaignResult, CaptureMode, CaptureStats, CheckpointStride,
     Classification, DiagnosticsFn, Divergence, InjectionHook, Mark, MarkFilter,
     MethodClassification, ReplayReport, RetryPolicy, RunHealth, RunOutcome, RunResult,
-    SurvivingWrite, TraceMode, Verdict, VerdictCounts, DEFAULT_RING_CAPACITY,
+    SurvivingWrite, TraceMode, Verdict, VerdictCounts,
 };
 pub use atomask_mask::{
     verify_masked, verify_masked_configured, verify_masked_with, MaskStats, MaskStrategy,

@@ -42,8 +42,8 @@ use crate::journal::CampaignJournal;
 use crate::marks::Mark;
 use crate::replay::{Divergence, ReplayReport};
 use atomask_mor::{
-    Budget, CallHook, ExcId, HookChain, MethodId, OpRecord, Program, Registry, RingBufferSink, Vm,
-    VmCheckpoint, REPLAY_MISMATCH,
+    Budget, CallHook, ExcId, HookChain, MethodId, OpRecord, Program, Registry, RingBufferSink,
+    TraceSink, Vm, VmCheckpoint, REPLAY_MISMATCH,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -71,29 +71,16 @@ pub fn stderr_diagnostics(message: &str) {
 /// a harness renders health from the journal instead).
 pub fn silent_diagnostics(_message: &str) {}
 
-/// A conventional event retention for [`TraceMode::Ring`] sinks.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Whether campaign runs record a flight-recorder trace
-/// ([`atomask_mor::TraceSink`]).
+/// Whether campaign runs record a flight-recorder trace. Sweeps never
+/// do — [`Campaign::replay`] is the one traced execution — so `Off` is
+/// the only mode. Kept only because the benchmark harness names it in
+/// [`CampaignConfig::trace`]; both go when that line does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceMode {
     /// No sink installed: every emission site compiles to a branch on
-    /// `None`, the zero-overhead baseline.
+    /// `None`.
     #[default]
     Off,
-    /// A [`RingBufferSink`] retaining the given number of events per run.
-    Ring(usize),
-}
-
-impl TraceMode {
-    /// The ring capacity to install for one run, or `None` for no sink.
-    fn resolve(self) -> Option<usize> {
-        match self {
-            TraceMode::Off => None,
-            TraceMode::Ring(capacity) => Some(capacity),
-        }
-    }
 }
 
 /// Stride (in injection points) between the VM checkpoints a sweep records
@@ -243,16 +230,13 @@ pub struct CampaignConfig {
     /// literal wrapper and the reference the equivalence suites compare
     /// against.
     pub capture: CaptureMode,
-    /// Whether runs record a flight-recorder trace. Defaults to
-    /// [`TraceMode::Off`]. Tracing costs no fuel, so marks, outcomes and
-    /// fuel counts are identical whatever the mode — only the
-    /// `trace_events` run statistic changes.
+    /// Always [`TraceMode::Off`]: sweeps do not trace. Kept only because
+    /// the benchmark harness sets it; removed when that line goes.
     pub trace: TraceMode,
     /// Checkpoint stride for checkpoint-resume sweeps. Defaults to
-    /// [`CheckpointStride::Auto`] (`⌊√N⌋`). Campaigns with an inner hook
-    /// resume like any other. A live flight recorder runs every point from
-    /// scratch instead (a resumed run cannot re-emit the prefix's trace
-    /// events); results and journals are bit-identical either way.
+    /// [`CheckpointStride::Auto`] (`⌊√N⌋`). Every campaign resumes,
+    /// inner-hook (verification) campaigns included; results and journals
+    /// are bit-identical to from-scratch execution.
     pub checkpoint_stride: CheckpointStride,
     /// Where campaign warnings go. Defaults to [`stderr_diagnostics`].
     pub diagnostics: DiagnosticsFn,
@@ -322,7 +306,7 @@ struct SweepPlan {
 impl SweepPlan {
     /// Where a run targeting `target` starts: at the latest checkpoint
     /// whose point counter is strictly before `target` — strict, because a
-    /// checkpoint *at* the target has already consumed the armed window
+    /// checkpoint *at* the target has already consumed the window
     /// the resumed run must still hit — or from scratch if there is none.
     fn start_for(&self, target: u64) -> Start<'_> {
         let idx = self.checkpoints.partition_point(|c| c.point < target);
@@ -370,16 +354,13 @@ pub struct RunResult {
     pub snapshots: u64,
     /// Approximate bytes of those snapshots.
     pub capture_bytes: u64,
-    /// Trace events emitted by the final attempt (0 unless a
-    /// [`TraceMode`] sink was installed).
-    pub trace_events: u64,
 }
 
 impl RunResult {
     /// A run that was never executed (failure cap reached). Every
-    /// execution statistic — fuel, snapshots, capture bytes, trace events
-    /// — is zero by construction: nothing ran. [`Campaign::replay`] on
-    /// such a point executes it for real, under a fresh budget.
+    /// execution statistic — fuel, snapshots, capture bytes — is zero by
+    /// construction: nothing ran. [`Campaign::replay`] on such a point
+    /// executes it for real, under a fresh budget.
     pub fn skipped(injection_point: u64) -> Self {
         RunResult {
             injection_point,
@@ -391,7 +372,6 @@ impl RunResult {
             fuel_spent: 0,
             snapshots: 0,
             capture_bytes: 0,
-            trace_events: 0,
         }
     }
 
@@ -431,8 +411,6 @@ pub struct RunHealth {
     pub snapshots: u64,
     /// Total approximate snapshot bytes across final attempts.
     pub capture_bytes: u64,
-    /// Total trace events emitted across final attempts.
-    pub trace_events: u64,
 }
 
 impl RunHealth {
@@ -448,7 +426,6 @@ impl RunHealth {
         self.fuel_spent += run.fuel_spent;
         self.snapshots += run.snapshots;
         self.capture_bytes += run.capture_bytes;
-        self.trace_events += run.trace_events;
     }
 
     /// Runs that contributed no marks (diverged + panicked + skipped).
@@ -625,18 +602,6 @@ impl<'p> Campaign<'p> {
         self
     }
 
-    /// Redirects campaign warnings (see [`CampaignConfig::diagnostics`]).
-    pub fn diagnostics(mut self, sink: DiagnosticsFn) -> Self {
-        self.config.diagnostics = sink;
-        self
-    }
-
-    /// Sets the flight-recorder mode (see [`CampaignConfig::trace`]).
-    pub fn trace(mut self, mode: TraceMode) -> Self {
-        self.config.trace = mode;
-        self
-    }
-
     /// Sets the checkpoint-resume stride (see
     /// [`CampaignConfig::checkpoint_stride`]).
     pub fn checkpoint_stride(mut self, stride: CheckpointStride) -> Self {
@@ -693,17 +658,15 @@ impl<'p> Campaign<'p> {
         let missing: Vec<u64> = (1..=limit)
             .filter(|p| journal.run_for(*p).is_none())
             .collect();
-        // Flight recorder and checkpoint-resume stride, resolved once for
-        // the whole sweep. A stride of `None` runs every missing point from
-        // scratch, as do traced sweeps: a resumed run cannot re-emit the
-        // prefix's trace events.
-        let trace = self.config.trace.resolve();
-        let stride = if missing.is_empty() || trace.is_some() {
+        // Checkpoint-resume stride, resolved once for the whole sweep. A
+        // stride of `None` runs every missing point from scratch; with
+        // nothing missing there is no plan worth recording.
+        let stride = if missing.is_empty() {
             None
         } else {
             self.config.checkpoint_stride.resolve(limit)
         };
-        let runs = self.sweep(journal, &registry, limit, &missing, stride, trace);
+        let runs = self.sweep(journal, &registry, limit, &missing, stride);
 
         CampaignResult {
             program: self.program.name().to_owned(),
@@ -733,7 +696,6 @@ impl<'p> Campaign<'p> {
         limit: u64,
         missing: &[u64],
         stride: Option<u64>,
-        trace: Option<usize>,
     ) -> Vec<RunResult> {
         let workers = plan_worker_count(
             self.config.workers,
@@ -759,7 +721,7 @@ impl<'p> Campaign<'p> {
         std::thread::scope(|scope| {
             let next = &next;
             let cancelled = &cancelled;
-            let mut inline = (workers <= 1).then(|| self.executor(registry.clone(), stride, trace));
+            let mut inline = (workers <= 1).then(|| self.executor(registry.clone(), stride));
             let pool = if inline.is_some() { 0 } else { workers };
             for _ in 0..pool {
                 let tx = tx.clone();
@@ -767,8 +729,7 @@ impl<'p> Campaign<'p> {
                     // Each worker owns a private registry; the program
                     // promises identical builds, so ids (and thus results)
                     // are identical across workers.
-                    let mut execute =
-                        self.executor(Rc::new(self.program.build_registry()), stride, trace);
+                    let mut execute = self.executor(Rc::new(self.program.build_registry()), stride);
                     'claim: while !cancelled.load(Ordering::Relaxed) {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
                         if start >= missing.len() {
@@ -843,13 +804,12 @@ impl<'p> Campaign<'p> {
         &self,
         registry: Rc<Registry>,
         stride: Option<u64>,
-        trace: Option<usize>,
     ) -> impl FnMut(u64) -> RunResult + '_ {
         let mut vm = Vm::from_shared_registry(registry);
         let plan = stride.and_then(|s| self.record_plan(&mut vm, s));
         move |point| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.run_point(&mut vm, point, plan.as_ref(), trace)
+                self.run_point(&mut vm, point, plan.as_ref())
             }))
             .unwrap_or_else(|payload| {
                 RunResult::harness_panic(point, &panic_message(payload.as_ref()))
@@ -862,21 +822,14 @@ impl<'p> Campaign<'p> {
     /// every attempt resumes from the nearest checkpoint strictly before
     /// the target; a replay mismatch (the determinism guard tripping)
     /// demotes the point to from-scratch execution permanently.
-    fn run_point(
-        &self,
-        vm: &mut Vm,
-        injection_point: u64,
-        plan: Option<&SweepPlan>,
-        trace: Option<usize>,
-    ) -> RunResult {
+    fn run_point(&self, vm: &mut Vm, injection_point: u64, plan: Option<&SweepPlan>) -> RunResult {
         let mut budget = self.config.budget;
         let mut retries = 0u32;
         let mut start = plan.map_or(Start::Scratch, |p| p.start_for(injection_point));
         loop {
             let hook =
                 InjectionHook::with_injection_point(injection_point).capture(self.config.capture);
-            let tracer = trace.map(|cap| Rc::new(RefCell::new(RingBufferSink::new(cap))));
-            let Some((mut run, _)) = self.attempt(vm, injection_point, budget, start, hook, tracer)
+            let Some((mut run, _)) = self.attempt(vm, injection_point, budget, start, hook, None)
             else {
                 start = Start::Scratch;
                 continue;
@@ -898,7 +851,7 @@ impl<'p> Campaign<'p> {
     /// unless the recording is *healthy*: no panic, no fuel exhaustion, no
     /// replay residue. Health is load-bearing for equivalence: a healthy
     /// recording under the base budget proves that every injection run's
-    /// disarmed prefix (an identical execution up to the checkpoint)
+    /// pre-target prefix (an identical execution up to the checkpoint)
     /// completes without panicking or exhausting any attempt's budget,
     /// since retries only ever scale budgets up.
     fn record_plan(&self, vm: &mut Vm, stride: u64) -> Option<SweepPlan> {
@@ -953,13 +906,13 @@ impl<'p> Campaign<'p> {
         })
     }
 
-    /// One isolated attempt at one injection point under `hook`, with the
-    /// flight recorder `tracer` (if any) attached: the one place a run
-    /// executes and a [`RunResult`] is built, behind both the sweep and
-    /// [`Campaign::replay`]. Returns `None` only when a resumed start's
-    /// determinism guard trips (replay mismatch, or the driver finished
-    /// while still replaying); the caller then runs the point from
-    /// scratch.
+    /// One isolated attempt at one injection point under `hook`: the one
+    /// place a run executes and a [`RunResult`] is built, behind both the
+    /// sweep and [`Campaign::replay`]. Only replay attaches a flight
+    /// recorder `tracer`; sweeps pass `None`. Returns `None` only when a
+    /// resumed start's determinism guard trips (replay mismatch, or the
+    /// driver finished while still replaying); the caller then runs the
+    /// point from scratch.
     fn attempt(
         &self,
         vm: &mut Vm,
@@ -967,7 +920,7 @@ impl<'p> Campaign<'p> {
         budget: Budget,
         start: Start<'_>,
         hook: InjectionHook,
-        tracer: Option<Rc<RefCell<RingBufferSink>>>,
+        tracer: Option<Rc<RefCell<dyn TraceSink>>>,
     ) -> Option<(RunResult, Option<Divergence>)> {
         // Recycled VM universe: reset to the pristine epoch (heap, frames,
         // stats, chains, budget) instead of rebuilding the whole VM. The
@@ -975,9 +928,7 @@ impl<'p> Campaign<'p> {
         // guest state the unwind left behind is discarded here.
         vm.reset_for_run();
         vm.set_budget(budget);
-        if let Some(t) = &tracer {
-            vm.set_tracer(Some(t.clone()));
-        }
+        vm.set_tracer(tracer);
         let hook = match start {
             Start::Scratch => hook,
             Start::Resume(_, ckpt) => {
@@ -1038,7 +989,6 @@ impl<'p> Campaign<'p> {
             fuel_spent,
             snapshots: capture.snapshots,
             capture_bytes: capture.capture_bytes,
-            trace_events: tracer.map_or(0, |t| t.borrow().emitted()),
         };
         Some((run, divergence))
     }
@@ -1048,9 +998,8 @@ impl<'p> Campaign<'p> {
     /// and (for non-atomic points) the minimized divergence.
     ///
     /// Replay is deterministic: it rebuilds the registry and runs the point
-    /// exactly as the sweep does, so the marks and outcome match the
-    /// campaign's journal bit for bit — independent of worker count, and
-    /// independent of whether the campaign traced. Replay knows nothing of
+    /// exactly as the sweep does, so the run matches the campaign's journal
+    /// bit for bit, independent of worker count. Replay knows nothing of
     /// journals, retry history, or `max_failures`: a point the campaign
     /// recorded as [`RunOutcome::Skipped`] is executed for real here, under
     /// a fresh `config.budget`.
@@ -1484,23 +1433,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_trace_mode_counts_events_without_changing_results() {
-        let p = two_level_program();
-        let off = Campaign::new(&p).trace(TraceMode::Off).run();
-        let ring = Campaign::new(&p).trace(TraceMode::Ring(64)).run();
-        assert!(off.runs.iter().all(|r| r.trace_events == 0));
-        assert!(ring.runs.iter().all(|r| r.trace_events > 0));
-        assert!(ring.health().trace_events > 0);
-        // Tracing is observation only: everything except the event counts
-        // is identical.
-        for (a, b) in off.runs.iter().zip(&ring.runs) {
-            let mut b = b.clone();
-            b.trace_events = 0;
-            assert_eq!(*a, b);
-        }
-    }
-
-    #[test]
     fn replay_matches_the_sweep_at_every_point_and_worker_count() {
         let p = two_level_program();
         let sequential = Campaign::new(&p).workers(1).run();
@@ -1565,7 +1497,6 @@ mod tests {
         assert_eq!(skipped.fuel_spent, 0);
         assert_eq!(skipped.snapshots, 0);
         assert_eq!(skipped.capture_bytes, 0);
-        assert_eq!(skipped.trace_events, 0);
         assert!(skipped.marks.is_empty());
         // ...and replay re-executes it under a fresh budget.
         let replay = campaign.replay(skipped.injection_point);

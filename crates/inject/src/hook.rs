@@ -35,39 +35,6 @@ pub struct CaptureStats {
     pub capture_bytes: u64,
 }
 
-/// Phase of the fast-forward gate (sweep-throughput engine).
-///
-/// A sweep run targets exactly one `InjectionPoint`; every wrapped call
-/// before the armed window only needs to *advance the counter*. The gate
-/// makes that explicit:
-///
-/// * **Disarmed** — the global counter has not reached the window yet.
-///   Each call advances the counter by its full per-method exception-type
-///   count in one arithmetic step (no per-type iteration). Capture
-///   behaviour is untouched: lazy capture still pushes its O(1) journal
-///   watermark, because *enclosing* frames of the eventual injection need
-///   their undo context when the exception unwinds through them.
-/// * **Armed** — the counter's window for this call contains the target
-///   point: the firing exception type is picked by offset arithmetic and
-///   thrown, exactly where the per-type loop would have thrown it.
-/// * **Fired** — the injection happened; subsequent calls (a program may
-///   catch the injected exception and continue) advance the counter
-///   arithmetically again, since the target can never match twice.
-///
-/// Every transition preserves the counter values, firing behaviour, trace
-/// emission, capture stats, and marks of the always-armed per-type loop
-/// bit for bit; `crates/inject/tests/fastforward_equivalence.rs` proves
-/// it property-style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Before the armed window (or no target point at all).
-    Disarmed,
-    /// Transiently inside the armed window of the current call.
-    Armed,
-    /// The target point fired earlier in this run.
-    Fired,
-}
-
 /// Lazy capture guard: a zero-sized marker (boxing it does not allocate).
 /// The before-state lives in the heap's undo log, not in the guard.
 struct LazyGuard;
@@ -102,9 +69,13 @@ pub struct InjectionHook {
     minimize: bool,
     divergence: Option<Divergence>,
     /// Whether the fast-forward gate may replace the per-type counting
-    /// loop with arithmetic advances outside the armed window.
+    /// loop with arithmetic. The gate reads the monotone counter: below
+    /// the target, a call advances it by its whole exception-type count in
+    /// one step; in the window that holds the target, the firing type is
+    /// picked by offset and the counter set to the target; past it, calls
+    /// advance arithmetically again and can never fire twice. Bit-identical
+    /// to the loop (`tests/fastforward_equivalence.rs`).
     fast_forward: bool,
-    phase: Phase,
     /// Memoized per-object structural hashes for the fingerprint fast
     /// path, persisted across the wrappers of one propagation cascade
     /// (the heap does not mutate while an exception unwinds).
@@ -127,7 +98,6 @@ impl InjectionHook {
             minimize: false,
             divergence: None,
             fast_forward: true,
-            phase: Phase::Disarmed,
             fp_cache: FingerprintCache::new(),
             fp_epoch: None,
         }
@@ -187,11 +157,10 @@ impl InjectionHook {
     /// Pre-loads the injector state a checkpoint-resumed run starts from
     /// (builder style): the point counter, the marks the prefix recorded
     /// (application-thrown exceptions can mark before the target point),
-    /// and the prefix's capture counters. The phase stays `Disarmed` —
-    /// resume plans only select checkpoints strictly *before* the target
-    /// point, so the injection is always still ahead of the restored
-    /// counter and the arming window fires exactly as it would have in a
-    /// from-scratch run.
+    /// and the prefix's capture counters. Resume plans only select
+    /// checkpoints strictly *before* the target point, so the restored
+    /// counter is below the target and the window holding it fires
+    /// exactly as it would have in a from-scratch run.
     pub fn resume_prefix(mut self, point: u64, marks: Vec<Mark>, stats: CaptureStats) -> Self {
         debug_assert!(
             self.injection_point.is_none_or(|ip| point < ip),
@@ -353,20 +322,16 @@ impl CallHook for InjectionHook {
         let excs = registry.injectable_exceptions(site.method);
         let n = excs.len() as u64;
         if self.fast_forward {
-            // Phase-gated counting: outside the armed window the counter
-            // advances by the whole per-method type count in one step —
-            // identical final value, no iteration.
+            // Counter-gated counting: outside the window holding the
+            // target the counter advances by the whole per-method type
+            // count in one step — identical final value, no iteration.
             match self.injection_point {
-                Some(ip)
-                    if self.phase != Phase::Fired && self.point < ip && self.point + n >= ip =>
-                {
-                    // Armed: the target lands inside this call's window.
-                    // The (ip − point)-th type of this method is exactly
-                    // the one the per-type loop would have selected.
-                    self.phase = Phase::Armed;
+                Some(ip) if self.point < ip && self.point + n >= ip => {
+                    // The target lands inside this call's window. The
+                    // (ip − point)-th type of this method is exactly the
+                    // one the per-type loop would have selected.
                     let exc = excs[(ip - self.point - 1) as usize];
                     self.point = ip;
-                    self.phase = Phase::Fired;
                     self.injected = Some((site.method, exc));
                     vm.trace(TraceEvent::InjectionFire {
                         method: site.method,
@@ -381,7 +346,6 @@ impl CallHook for InjectionHook {
             for &exc in excs {
                 self.point += 1;
                 if Some(self.point) == self.injection_point {
-                    self.phase = Phase::Fired;
                     self.injected = Some((site.method, exc));
                     vm.trace(TraceEvent::InjectionFire {
                         method: site.method,
@@ -408,7 +372,7 @@ impl CallHook for InjectionHook {
                 // Defer the copy: record writes instead. The layer is
                 // closed (committed) in `after` on both outcomes, so the
                 // heap's net state is untouched either way. This O(1)
-                // watermark is kept even while disarmed: if the eventual
+                // watermark is kept even below the target: if the eventual
                 // injection (or an application exception) unwinds through
                 // this frame, its wrapper needs the undo context.
                 vm.heap_mut().push_journal();

@@ -19,9 +19,12 @@ use std::fmt;
 
 /// Magic first line of the text form; bump the version on format changes.
 /// v2 added the per-run capture stats (`snapshots`, `capture_bytes`) to
-/// the `run` line; v3 added the per-run `trace_events` count.
-const HEADER: &str = "atomask-campaign-journal v3";
-/// Previous format versions, still parseable (missing stats read as 0).
+/// the `run` line; v3 added a per-run trace-event count, which v4 dropped
+/// again (sweeps no longer trace), so a v4 `run` line has v2's shape.
+const HEADER: &str = "atomask-campaign-journal v4";
+/// Previous format versions, still parseable (missing stats read as 0,
+/// v3's trace-event column is checked and dropped).
+const HEADER_V3: &str = "atomask-campaign-journal v3";
 const HEADER_V2: &str = "atomask-campaign-journal v2";
 const HEADER_V1: &str = "atomask-campaign-journal v1";
 
@@ -129,14 +132,13 @@ impl CampaignJournal {
                 Some((m, e)) => format!("{},{}", m.into_raw(), e.into_raw()),
             };
             out.push_str(&format!(
-                "run\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                "run\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 run.injection_point,
                 run.outcome.as_str(),
                 run.retries,
                 run.fuel_spent,
                 run.snapshots,
                 run.capture_bytes,
-                run.trace_events,
                 injected,
                 opt_str(&run.top_error),
             ));
@@ -154,9 +156,9 @@ impl CampaignJournal {
     }
 
     /// Parses the text form produced by [`CampaignJournal::serialize`].
-    /// Legacy v1 and v2 journals still parse; fields their format lacked
-    /// (capture stats, trace counts) read as 0. Serialization always
-    /// writes the current version.
+    /// Legacy v1–v3 journals still parse: capture stats a v1 journal lacks
+    /// read as 0, and v3's trace-event column is dropped. Serialization
+    /// always writes the current version.
     ///
     /// # Errors
     ///
@@ -171,7 +173,8 @@ impl CampaignJournal {
         };
         let mut lines = text.lines().enumerate();
         let version = match lines.next() {
-            Some((_, first)) if first == HEADER => 3,
+            Some((_, first)) if first == HEADER => 4,
+            Some((_, first)) if first == HEADER_V3 => 3,
             Some((_, first)) if first == HEADER_V2 => 2,
             Some((_, first)) if first == HEADER_V1 => 1,
             _ => return Err(fail(1, "missing journal header")),
@@ -180,8 +183,8 @@ impl CampaignJournal {
         // the `injected` field (the optional `top_error` always follows).
         let (run_fields, injected_at) = match version {
             1 => (7, 5),
-            2 => (9, 7),
-            _ => (10, 8),
+            3 => (10, 8),
+            _ => (9, 7),
         };
         let mut journal = CampaignJournal::new();
         for (idx, line) in lines {
@@ -229,11 +232,11 @@ impl CampaignJournal {
                     } else {
                         (0, 0)
                     };
-                    let trace_events = if version >= 3 {
-                        parse_u64(fields[7], lineno, "trace events")?
-                    } else {
-                        0
-                    };
+                    // v3's trace-event count: still validated, so a corrupt
+                    // v3 line is rejected whole, then dropped.
+                    if version == 3 {
+                        parse_u64(fields[7], lineno, "trace events")?;
+                    }
                     journal.runs.push(RunResult {
                         injection_point: parse_u64(fields[1], lineno, "injection point")?,
                         injected,
@@ -244,7 +247,6 @@ impl CampaignJournal {
                         fuel_spent: parse_u64(fields[4], lineno, "fuel")?,
                         snapshots,
                         capture_bytes,
-                        trace_events,
                     });
                 }
                 "mark" if fields.len() == 5 => {
@@ -371,7 +373,6 @@ mod tests {
             fuel_spent: 123,
             snapshots: 5,
             capture_bytes: 640,
-            trace_events: 42,
         }
     }
 

@@ -78,7 +78,6 @@ pub use analyzer::{method_injection_plan, InjectionPlan};
 pub use campaign::{
     silent_diagnostics, stderr_diagnostics, Campaign, CampaignConfig, CampaignResult,
     CheckpointStride, DiagnosticsFn, RetryPolicy, RunHealth, RunOutcome, RunResult, TraceMode,
-    DEFAULT_RING_CAPACITY,
 };
 pub use classify::{
     classify, ClassRollup, ClassVerdictCounts, Classification, MarkFilter, MethodClassification,

@@ -90,9 +90,7 @@ impl Divergence {
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// The replayed run, exactly as a campaign would record it (same
-    /// outcome, marks, fuel and capture statistics — `trace_events`
-    /// reflects the replay's always-on recorder, not the campaign's
-    /// setting).
+    /// outcome, marks, fuel and capture statistics).
     pub run: crate::RunResult,
     /// The recorded events, oldest first (bounded by the replay ring; see
     /// [`ReplayReport::trace_dropped`]).

@@ -3,7 +3,7 @@
 //! (budgeted sweeps, journal round-trips, bit-for-bit resume).
 
 use atomask_inject::{classify, Campaign, CampaignConfig, CampaignJournal, MarkFilter, RunOutcome};
-use atomask_mor::{Budget, FnProgram, Profile, RegistryBuilder, Value};
+use atomask_mor::{Budget, FnProgram, Profile, RegistryBuilder, TraceEvent, Value};
 use proptest::prelude::*;
 
 /// Registry for the configurable call tree: `fanout` children per `spin`
@@ -115,7 +115,11 @@ proptest! {
 
     /// Every run with `InjectionPoint <= N` injects exactly once, and the
     /// injected exception escapes to the top unless the program catches it
-    /// (this program never catches).
+    /// (the plain tree never catches). Under the retrying driver every
+    /// retry walks the whole tree past the target again: a point that
+    /// could fire twice would fail every retry until the budget ran out,
+    /// so every run must complete, and its replay trace must show one
+    /// injection.
     #[test]
     fn every_run_injects_exactly_once(depth in 0u8..3, fanout in 1u8..3) {
         let p = tree_program(depth, fanout, 0);
@@ -129,6 +133,27 @@ proptest! {
                 run.injection_point,
                 run.top_error
             );
+        }
+
+        let retrying = retrying_tree_program(depth, fanout);
+        let campaign = Campaign::new(&retrying).config(CampaignConfig {
+            budget: Budget::fuel(100_000),
+            retry: atomask_inject::RetryPolicy::none(),
+            ..CampaignConfig::default()
+        });
+        let result = campaign.run();
+        prop_assert_eq!(result.runs.len() as u64, result.total_points);
+        for run in &result.runs {
+            let point = run.injection_point;
+            prop_assert_eq!(run.outcome, RunOutcome::Completed, "run {}", point);
+            prop_assert!(run.injected.is_some(), "run {} did not inject", point);
+            let fires = campaign
+                .replay(point)
+                .trace
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::InjectionFire { .. }))
+                .count();
+            prop_assert_eq!(fires, 1, "run {}", point);
         }
     }
 

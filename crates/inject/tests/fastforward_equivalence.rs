@@ -1,7 +1,6 @@
 //! The sweep against the literal-loop reference: every run a campaign
-//! journals — phase-gated fast-forward counting, checkpoint-resumed
-//! prefixes, lazy or eager capture, one worker or several, flight
-//! recorder on or off — must equal the run [`Campaign::replay`] produces
+//! journals — counter-gated fast-forward counting, checkpoint-resumed
+//! prefixes, lazy or eager capture, one worker or several — must equal the run [`Campaign::replay`] produces
 //! for that point from scratch, walking Listing 1's per-exception-type
 //! loop with fast-forward off.
 //!
@@ -9,7 +8,7 @@
 //! by default: since the two agree everywhere, a replay/sweep mismatch
 //! indicts the gate or the resume engine.
 
-use atomask_inject::{Campaign, CampaignConfig, CaptureMode, TraceMode};
+use atomask_inject::{Campaign, CampaignConfig, CaptureMode};
 use atomask_mor::{Budget, FnProgram, Profile, RegistryBuilder, Value};
 
 /// A mutating call tree whose methods carry *different* declared-exception
@@ -68,12 +67,11 @@ fn striped_tree(depth: u8, fanout: u8) -> FnProgram {
     )
 }
 
-fn base_config(workers: usize, capture: CaptureMode, trace: TraceMode) -> CampaignConfig {
+fn base_config(workers: usize, capture: CaptureMode) -> CampaignConfig {
     CampaignConfig {
         budget: Budget::fuel(20_000),
         workers,
         capture,
-        trace,
         ..CampaignConfig::default()
     }
 }
@@ -81,38 +79,27 @@ fn base_config(workers: usize, capture: CaptureMode, trace: TraceMode) -> Campai
 /// Striped-tree shapes under test: `(depth, fanout)`.
 const SHAPES: [(u8, u8); 6] = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)];
 
-/// Every run of every sweep equals its replay. Replay always records a
-/// trace, so its `trace_events` count is zeroed against untraced sweeps
-/// and compared exactly against traced ones (event counts do not depend
-/// on the ring's capacity).
+/// Every run of every sweep equals its replay.
 #[test]
 fn every_sweep_run_equals_its_replay() {
     for (depth, fanout) in SHAPES {
         let p = striped_tree(depth, fanout);
         for workers in 1..=3 {
             for capture in [CaptureMode::Eager, CaptureMode::Lazy] {
-                for trace in [TraceMode::Off, TraceMode::Ring(4096)] {
-                    let label = format!("{depth}x{fanout} workers={workers} {capture:?} {trace:?}");
-                    let campaign = Campaign::new(&p).config(base_config(workers, capture, trace));
-                    let result = campaign.run();
-                    assert_eq!(result.injections() as u64, result.total_points, "{label}");
-                    for run in &result.runs {
-                        let point = run.injection_point;
-                        // Replay does not retry, so a retried run would
-                        // compare against a different attempt.
-                        assert_eq!(run.retries, 0, "{label} point {point}: retried");
-                        let mut replayed = campaign.replay(point).run;
-                        if trace == TraceMode::Off {
-                            assert_eq!(run.trace_events, 0, "{label} point {point}");
-                            replayed.trace_events = 0;
-                        } else {
-                            assert!(run.trace_events > 0, "{label} point {point}: untraced");
-                        }
-                        assert_eq!(
-                            replayed, *run,
-                            "{label} point {point}: sweep and replay differ"
-                        );
-                    }
+                let label = format!("{depth}x{fanout} workers={workers} {capture:?}");
+                let campaign = Campaign::new(&p).config(base_config(workers, capture));
+                let result = campaign.run();
+                assert_eq!(result.injections() as u64, result.total_points, "{label}");
+                for run in &result.runs {
+                    let point = run.injection_point;
+                    // Replay does not retry, so a retried run would
+                    // compare against a different attempt.
+                    assert_eq!(run.retries, 0, "{label} point {point}: retried");
+                    assert_eq!(
+                        campaign.replay(point).run,
+                        *run,
+                        "{label} point {point}: sweep and replay differ"
+                    );
                 }
             }
         }
@@ -126,7 +113,7 @@ fn every_sweep_run_equals_its_replay() {
 fn striped_tree_is_a_meaningful_witness() {
     let p = striped_tree(2, 2);
     let result = Campaign::new(&p)
-        .config(base_config(1, CaptureMode::Lazy, TraceMode::Off))
+        .config(base_config(1, CaptureMode::Lazy))
         .run();
     assert!(result.total_points > 0);
     assert!(

@@ -1,13 +1,14 @@
 //! Robustness of the campaign-journal text format.
 //!
-//! Two guarantees under test: (1) legacy v1/v2 journals still parse, with
-//! the fields their format lacked reading as zero, and (2) malformed input
-//! is rejected whole — `CampaignJournal::parse` is all-or-nothing, so
+//! Two guarantees under test: (1) legacy v1–v3 journals still parse, with
+//! the capture stats v1 lacked reading as zero and v3's trace-event column
+//! dropped, and a legacy journal resumes like a current one; (2) malformed
+//! input is rejected whole — `CampaignJournal::parse` is all-or-nothing, so
 //! [`atomask_inject::Campaign::resume`] can never silently treat a
 //! corrupted prefix as a valid partial sweep.
 
-use atomask_inject::{CampaignJournal, Mark, RunOutcome, RunResult};
-use atomask_mor::{ExcId, MethodId};
+use atomask_inject::{Campaign, CampaignJournal, Mark, RunOutcome, RunResult};
+use atomask_mor::{ExcId, FnProgram, MethodId, Profile, RegistryBuilder, Value};
 use proptest::prelude::*;
 
 /// Mirror of the journal's escaping (the format is stable and documented;
@@ -62,7 +63,6 @@ fn build_run(
     fuel: u64,
     snapshots: u64,
     capture_bytes: u64,
-    trace_events: u64,
     err_idx: usize,
     marks: usize,
 ) -> RunResult {
@@ -96,7 +96,6 @@ fn build_run(
         fuel_spent: fuel,
         snapshots,
         capture_bytes,
-        trace_events,
     }
 }
 
@@ -147,6 +146,26 @@ fn legacy_text(version: u8, runs: &[RunResult]) -> String {
     out
 }
 
+/// Rewrites a current (v4) journal text as v3 wrote it: the v3 header and
+/// a trace-event count, `events`, after each run's capture stats.
+fn as_v3(v4_text: &str, events: u64) -> String {
+    let mut out = String::new();
+    for line in v4_text.lines() {
+        if let Some(rest) = line.strip_prefix("atomask-campaign-journal v4") {
+            out.push_str("atomask-campaign-journal v3");
+            out.push_str(rest);
+        } else if line.starts_with("run\t") {
+            let mut fields: Vec<String> = line.split('\t').map(str::to_owned).collect();
+            fields.insert(7, events.to_string());
+            out.push_str(&fields.join("\t"));
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// What a legacy journal should parse to: the original runs with the
 /// fields that postdate `version` zeroed.
 fn expect_parsed(version: u8, runs: &[RunResult]) -> CampaignJournal {
@@ -159,9 +178,6 @@ fn expect_parsed(version: u8, runs: &[RunResult]) -> CampaignJournal {
             run.snapshots = 0;
             run.capture_bytes = 0;
         }
-        if version < 3 {
-            run.trace_events = 0;
-        }
         journal.record_run(&run);
     }
     journal
@@ -170,8 +186,8 @@ fn expect_parsed(version: u8, runs: &[RunResult]) -> CampaignJournal {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// v1 journals (no capture stats, no trace counts) parse, and the
-    /// missing fields read as zero.
+    /// v1 journals (no capture stats) parse, and the missing fields read
+    /// as zero.
     #[test]
     fn v1_journals_still_parse(
         point in 1u64..40,
@@ -182,15 +198,15 @@ proptest! {
         marks in 0usize..4,
     ) {
         let runs = vec![
-            build_run(point, outcome_idx, retries, fuel, 7, 512, 99, err_idx, marks),
-            build_run(point + 1, outcome_idx + 1, retries, fuel, 7, 512, 99, err_idx + 1, marks),
+            build_run(point, outcome_idx, retries, fuel, 7, 512, err_idx, marks),
+            build_run(point + 1, outcome_idx + 1, retries, fuel, 7, 512, err_idx + 1, marks),
         ];
         let parsed = CampaignJournal::parse(&legacy_text(1, &runs));
         prop_assert!(parsed.is_ok(), "{:?}", parsed.err());
         prop_assert_eq!(parsed.unwrap(), expect_parsed(1, &runs));
     }
 
-    /// v2 journals (capture stats but no trace counts) parse the same way.
+    /// v2 journals (capture stats, v4's run shape) parse the same way.
     #[test]
     fn v2_journals_still_parse(
         point in 1u64..40,
@@ -203,26 +219,46 @@ proptest! {
         marks in 0usize..4,
     ) {
         let runs = vec![build_run(
-            point, outcome_idx, retries, fuel, snapshots, capture_bytes, 99, err_idx, marks,
+            point, outcome_idx, retries, fuel, snapshots, capture_bytes, err_idx, marks,
         )];
         let parsed = CampaignJournal::parse(&legacy_text(2, &runs));
         prop_assert!(parsed.is_ok(), "{:?}", parsed.err());
         prop_assert_eq!(parsed.unwrap(), expect_parsed(2, &runs));
     }
 
-    /// The current format round-trips, and serialization is idempotent.
+    /// v3 journals parse with their trace-event column dropped, whatever
+    /// count it holds.
     #[test]
-    fn v3_round_trips(
+    fn v3_journals_still_parse(
         point in 1u64..40,
         outcome_idx in 0usize..4,
-        trace_events in 0u64..100_000,
+        snapshots in 0u64..50,
+        events in 0u64..100_000,
+        err_idx in 0usize..9,
+        marks in 0usize..4,
+    ) {
+        let runs = vec![
+            build_run(point, outcome_idx, 2, 77, snapshots, 96, err_idx, marks),
+            build_run(point + 1, outcome_idx + 1, 0, 5, 0, 0, err_idx + 1, marks),
+        ];
+        let journal = expect_parsed(3, &runs);
+        let parsed = CampaignJournal::parse(&as_v3(&journal.serialize(), events));
+        prop_assert!(parsed.is_ok(), "{:?}", parsed.err());
+        prop_assert_eq!(parsed.unwrap(), journal);
+    }
+
+    /// The current format round-trips, and serialization is idempotent.
+    #[test]
+    fn v4_round_trips(
+        point in 1u64..40,
+        outcome_idx in 0usize..4,
         err_idx in 0usize..9,
         marks in 0usize..4,
     ) {
         let mut journal = CampaignJournal::new();
         journal.bind("current");
         journal.record_baseline(4, &[4]);
-        journal.record_run(&build_run(point, outcome_idx, 1, 33, 2, 64, trace_events, err_idx, marks));
+        journal.record_run(&build_run(point, outcome_idx, 1, 33, 2, 64, err_idx, marks));
         let text = journal.serialize();
         let parsed = CampaignJournal::parse(&text).expect("own output parses");
         prop_assert_eq!(&parsed, &journal);
@@ -230,13 +266,13 @@ proptest! {
     }
 }
 
-/// A small real-shaped v3 journal to corrupt.
+/// A small real-shaped v4 journal to corrupt.
 fn sample_text() -> String {
     let mut journal = CampaignJournal::new();
     journal.bind("sample");
     journal.record_baseline(3, &[1, 2]);
-    journal.record_run(&build_run(1, 0, 0, 10, 1, 32, 5, 0, 2));
-    journal.record_run(&build_run(2, 1, 1, 20, 0, 0, 0, 1, 1));
+    journal.record_run(&build_run(1, 0, 0, 10, 1, 32, 0, 2));
+    journal.record_run(&build_run(2, 1, 1, 20, 0, 0, 1, 1));
     journal.serialize()
 }
 
@@ -293,20 +329,19 @@ fn bad_field_values_are_rejected() {
 
 #[test]
 fn version_and_shape_must_agree() {
-    // A v2 header with a 10-field (v3-shaped) run line is malformed, and
+    // A v3 header with a 9-field (v4-shaped) run line is malformed, and
     // vice versa: field counts are validated per version.
-    let v3_text = sample_text();
-    let as_v2 = v3_text.replacen("journal v3", "journal v2", 1);
-    assert!(CampaignJournal::parse(&as_v2).is_err());
-    let v2_runs = vec![build_run(1, 0, 0, 10, 1, 32, 0, 0, 0)];
-    let as_v3 = legacy_text(2, &v2_runs).replacen("journal v2", "journal v3", 1);
-    assert!(CampaignJournal::parse(&as_v3).is_err());
+    let v4_text = sample_text();
+    let v3_header = v4_text.replacen("journal v4", "journal v3", 1);
+    assert!(CampaignJournal::parse(&v3_header).is_err());
+    let v4_header = as_v3(&v4_text, 7).replacen("journal v3", "journal v4", 1);
+    assert!(CampaignJournal::parse(&v4_header).is_err());
 }
 
 #[test]
 fn unknown_versions_and_missing_headers_are_rejected() {
     assert!(CampaignJournal::parse("").is_err());
-    assert!(CampaignJournal::parse("atomask-campaign-journal v4\n").is_err());
+    assert!(CampaignJournal::parse("atomask-campaign-journal v5\n").is_err());
     assert!(CampaignJournal::parse("not a journal\nrun\t1\n").is_err());
     let err = CampaignJournal::parse("garbage").expect_err("no header");
     assert_eq!(err.line, 1);
@@ -326,4 +361,54 @@ fn truncating_between_lines_still_parses_as_a_shorter_journal() {
     let prefix = lines[..last_run].join("\n");
     let parsed = CampaignJournal::parse(&prefix).expect("line-aligned prefix parses");
     assert_eq!(parsed.len(), 1, "one complete run survives");
+}
+
+/// `T.outer` bumps `a`, calls `inner`, then restores `a`: injections into
+/// `inner` leave `outer` non-atomic.
+fn two_level_program() -> FnProgram {
+    FnProgram::new(
+        "two-level",
+        || {
+            let mut rb = RegistryBuilder::new(Profile::java());
+            rb.class("T", |c| {
+                c.field("a", Value::Int(0));
+                c.method("outer", |ctx, this, _| {
+                    let a = ctx.get_int(this, "a");
+                    ctx.set(this, "a", Value::Int(a + 1));
+                    ctx.call(this, "inner", &[])?;
+                    ctx.set(this, "a", Value::Int(a));
+                    Ok(Value::Null)
+                });
+                c.method("inner", |_, _, _| Ok(Value::Null));
+            });
+            rb.build()
+        },
+        |vm| {
+            let t = vm.construct("T", &[])?;
+            vm.root(t);
+            for _ in 0..3 {
+                let _ = vm.call(t, "outer", &[]);
+            }
+            Ok(Value::Null)
+        },
+    )
+}
+
+#[test]
+fn truncated_v3_journal_resumes_to_the_uninterrupted_result() {
+    let p = two_level_program();
+    let full = Campaign::new(&p).run();
+    assert!(full.runs.iter().any(|r| r.marks.iter().any(|m| !m.atomic)));
+    let mut interrupted = full.journal();
+    interrupted.truncate_runs(full.runs.len() / 2);
+    let mut journal =
+        CampaignJournal::parse(&as_v3(&interrupted.serialize(), 123)).expect("a v3 journal parses");
+    let resumed = Campaign::new(&p).resume(&mut journal);
+    assert_eq!(resumed.program, full.program);
+    assert_eq!(resumed.total_points, full.total_points);
+    assert_eq!(resumed.baseline_calls, full.baseline_calls);
+    assert_eq!(resumed.runs, full.runs, "resume is bit-for-bit");
+    // The completed journal is written in the current version and equals
+    // the uninterrupted sweep's.
+    assert_eq!(journal.serialize(), full.journal().serialize());
 }

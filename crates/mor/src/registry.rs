@@ -122,7 +122,7 @@ impl Registry {
     ///
     /// The set is precomputed per method at build time and borrowed here,
     /// so the injection wrapper's hot path neither allocates nor dedupes —
-    /// counting a disarmed call's points is `injectable_exceptions(id).len()`.
+    /// counting a pre-target call's points is `injectable_exceptions(id).len()`.
     pub fn injectable_exceptions(&self, id: MethodId) -> &[ExcId] {
         &self.injectable[id.index()]
     }

@@ -1,13 +1,15 @@
-//! Structured execution tracing — the campaign flight recorder.
+//! Structured execution tracing — the flight recorder of single-point
+//! replay.
 //!
 //! The VM, heap and the wrappers woven around calls emit [`TraceEvent`]
 //! records through an optional [`TraceSink`] installed with
 //! [`crate::Vm::set_tracer`]. When no sink is installed the emission sites
 //! compile down to a branch on `None` — events are never even constructed —
-//! so tracing costs nothing when disabled. The bundled [`RingBufferSink`]
-//! keeps the last `capacity` events in a bounded ring so always-on capture
-//! has a fixed memory ceiling: old events fall off the front, and the sink
-//! reports how many were emitted versus dropped.
+//! so tracing costs nothing when disabled. Campaign sweeps never install
+//! one; only a replay of one injection point does. The bundled
+//! [`RingBufferSink`] keeps the last `capacity` events in a bounded ring:
+//! old events fall off the front, and the sink reports how many were
+//! emitted versus dropped.
 //!
 //! The event vocabulary covers the whole story of one injector run: call
 //! enter/exit, exception throw/propagate/deliver, heap allocation and
@@ -20,6 +22,7 @@
 use crate::hook::CallKind;
 use crate::ids::{ClassId, ExcId, MethodId, ObjId};
 use crate::registry::Registry;
+use std::collections::VecDeque;
 
 /// One structured trace record.
 ///
@@ -238,250 +241,13 @@ pub trait TraceSink: std::fmt::Debug {
     fn record(&mut self, event: TraceEvent);
 }
 
-/// A [`TraceEvent`] packed into two machine words (16 bytes, versus ~40
-/// for the enum): word 0 carries an 8-bit variant tag in its low byte, a
-/// 32-bit id field in bits 8..40, and up to 24 bits of auxiliary small
-/// fields (depth, slot, flags) above; word 1 carries the event's one wide
-/// field — sequence number, chain id, raw object id, or fuel counter.
-///
-/// The rare event whose auxiliary fields overflow their packed ranges
-/// (recursion deeper than 2²³, say) is spilled verbatim into the sink's
-/// side table and stored as an `TAG_OVERFLOW` word pair holding the table
-/// index. Packing is therefore lossless for *every* event: `unpack ∘ pack`
-/// is the identity, which the round-trip test checks variant by variant.
-#[derive(Debug, Clone, Copy)]
-struct PackedEvent([u64; 2]);
-
-const TAG_CALL_ENTER: u64 = 0;
-const TAG_CALL_EXIT: u64 = 1;
-const TAG_INJECTION_FIRE: u64 = 2;
-const TAG_EXC_THROW: u64 = 3;
-const TAG_EXC_PROPAGATE: u64 = 4;
-const TAG_EXC_DELIVER: u64 = 5;
-const TAG_HEAP_ALLOC: u64 = 6;
-const TAG_HEAP_WRITE: u64 = 7;
-const TAG_UNDO_WRITE: u64 = 8;
-const TAG_JOURNAL_PUSH: u64 = 9;
-const TAG_JOURNAL_COMMIT: u64 = 10;
-const TAG_JOURNAL_ABORT: u64 = 11;
-const TAG_BUDGET_CHARGE: u64 = 12;
-const TAG_BUDGET_EXHAUSTED: u64 = 13;
-const TAG_MASK_CHECKPOINT: u64 = 14;
-const TAG_MASK_RESTORE: u64 = 15;
-const TAG_OVERFLOW: u64 = 16;
-
-impl PackedEvent {
-    fn words(tag: u64, id32: u32, aux24: u64, wide: u64) -> PackedEvent {
-        debug_assert!(aux24 < (1 << 24));
-        PackedEvent([tag | (u64::from(id32) << 8) | (aux24 << 40), wide])
-    }
-
-    fn overflow(index: usize) -> PackedEvent {
-        PackedEvent([TAG_OVERFLOW, index as u64])
-    }
-
-    fn tag(&self) -> u64 {
-        self.0[0] & 0xFF
-    }
-
-    fn id32(&self) -> u32 {
-        (self.0[0] >> 8) as u32
-    }
-
-    fn aux24(&self) -> u64 {
-        self.0[0] >> 40
-    }
-
-    fn wide(&self) -> u64 {
-        self.0[1]
-    }
-
-    /// Packs `event`, or returns `None` when an auxiliary field exceeds
-    /// its bit range and the event must spill to the side table.
-    fn pack(event: &TraceEvent) -> Option<PackedEvent> {
-        fn aux(value: usize, bits: u32) -> Option<u64> {
-            let value = value as u64;
-            (value < (1 << bits)).then_some(value)
-        }
-        Some(match *event {
-            TraceEvent::CallEnter {
-                method,
-                kind,
-                depth,
-                seq,
-            } => {
-                let kind_bit = match kind {
-                    CallKind::Method => 0,
-                    CallKind::Ctor => 1,
-                };
-                Self::words(
-                    TAG_CALL_ENTER,
-                    method.into_raw(),
-                    aux(depth, 23)? | (kind_bit << 23),
-                    seq,
-                )
-            }
-            TraceEvent::CallExit { method, seq, threw } => {
-                Self::words(TAG_CALL_EXIT, method.into_raw(), u64::from(threw), seq)
-            }
-            TraceEvent::InjectionFire { method, exc, point } => Self::words(
-                TAG_INJECTION_FIRE,
-                method.into_raw(),
-                aux(exc.index(), 24)?,
-                point,
-            ),
-            TraceEvent::ExcThrow { exc, chain } => {
-                Self::words(TAG_EXC_THROW, exc.into_raw(), 0, chain)
-            }
-            TraceEvent::ExcPropagate {
-                method,
-                exc,
-                chain,
-                depth,
-            } => Self::words(
-                TAG_EXC_PROPAGATE,
-                method.into_raw(),
-                aux(exc.index(), 12)? | (aux(depth, 12)? << 12),
-                chain,
-            ),
-            TraceEvent::ExcDeliver { exc, chain } => {
-                Self::words(TAG_EXC_DELIVER, exc.into_raw(), 0, chain)
-            }
-            TraceEvent::HeapAlloc { obj, class } => {
-                Self::words(TAG_HEAP_ALLOC, class.into_raw(), 0, obj.into_raw())
-            }
-            TraceEvent::HeapWrite { obj, class, slot } => Self::words(
-                TAG_HEAP_WRITE,
-                class.into_raw(),
-                aux(slot, 24)?,
-                obj.into_raw(),
-            ),
-            TraceEvent::UndoWrite { obj, class, slot } => Self::words(
-                TAG_UNDO_WRITE,
-                class.into_raw(),
-                aux(slot, 24)?,
-                obj.into_raw(),
-            ),
-            TraceEvent::JournalPush { depth } => Self::words(TAG_JOURNAL_PUSH, 0, 0, depth as u64),
-            TraceEvent::JournalCommit { depth } => {
-                Self::words(TAG_JOURNAL_COMMIT, 0, 0, depth as u64)
-            }
-            TraceEvent::JournalAbort { depth, undone } => Self::words(
-                TAG_JOURNAL_ABORT,
-                u32::try_from(depth).ok()?,
-                0,
-                undone as u64,
-            ),
-            TraceEvent::BudgetCharge { spent } => Self::words(TAG_BUDGET_CHARGE, 0, 0, spent),
-            TraceEvent::BudgetExhausted { spent } => Self::words(TAG_BUDGET_EXHAUSTED, 0, 0, spent),
-            TraceEvent::MaskCheckpoint { method } => {
-                Self::words(TAG_MASK_CHECKPOINT, method.into_raw(), 0, 0)
-            }
-            TraceEvent::MaskRestore { method } => {
-                Self::words(TAG_MASK_RESTORE, method.into_raw(), 0, 0)
-            }
-        })
-    }
-
-    /// Decodes the event, reading spilled events out of `side`.
-    fn unpack(&self, side: &[Option<TraceEvent>]) -> TraceEvent {
-        match self.tag() {
-            TAG_CALL_ENTER => TraceEvent::CallEnter {
-                method: MethodId::from_raw(self.id32()),
-                kind: if self.aux24() >> 23 == 0 {
-                    CallKind::Method
-                } else {
-                    CallKind::Ctor
-                },
-                depth: (self.aux24() & ((1 << 23) - 1)) as usize,
-                seq: self.wide(),
-            },
-            TAG_CALL_EXIT => TraceEvent::CallExit {
-                method: MethodId::from_raw(self.id32()),
-                seq: self.wide(),
-                threw: self.aux24() != 0,
-            },
-            TAG_INJECTION_FIRE => TraceEvent::InjectionFire {
-                method: MethodId::from_raw(self.id32()),
-                exc: ExcId::from_raw(self.aux24() as u32),
-                point: self.wide(),
-            },
-            TAG_EXC_THROW => TraceEvent::ExcThrow {
-                exc: ExcId::from_raw(self.id32()),
-                chain: self.wide(),
-            },
-            TAG_EXC_PROPAGATE => TraceEvent::ExcPropagate {
-                method: MethodId::from_raw(self.id32()),
-                exc: ExcId::from_raw((self.aux24() & 0xFFF) as u32),
-                chain: self.wide(),
-                depth: (self.aux24() >> 12) as usize,
-            },
-            TAG_EXC_DELIVER => TraceEvent::ExcDeliver {
-                exc: ExcId::from_raw(self.id32()),
-                chain: self.wide(),
-            },
-            TAG_HEAP_ALLOC => TraceEvent::HeapAlloc {
-                obj: ObjId::from_raw(self.wide()),
-                class: ClassId::from_raw(self.id32()),
-            },
-            TAG_HEAP_WRITE => TraceEvent::HeapWrite {
-                obj: ObjId::from_raw(self.wide()),
-                class: ClassId::from_raw(self.id32()),
-                slot: self.aux24() as usize,
-            },
-            TAG_UNDO_WRITE => TraceEvent::UndoWrite {
-                obj: ObjId::from_raw(self.wide()),
-                class: ClassId::from_raw(self.id32()),
-                slot: self.aux24() as usize,
-            },
-            TAG_JOURNAL_PUSH => TraceEvent::JournalPush {
-                depth: self.wide() as usize,
-            },
-            TAG_JOURNAL_COMMIT => TraceEvent::JournalCommit {
-                depth: self.wide() as usize,
-            },
-            TAG_JOURNAL_ABORT => TraceEvent::JournalAbort {
-                depth: self.id32() as usize,
-                undone: self.wide() as usize,
-            },
-            TAG_BUDGET_CHARGE => TraceEvent::BudgetCharge { spent: self.wide() },
-            TAG_BUDGET_EXHAUSTED => TraceEvent::BudgetExhausted { spent: self.wide() },
-            TAG_MASK_CHECKPOINT => TraceEvent::MaskCheckpoint {
-                method: MethodId::from_raw(self.id32()),
-            },
-            TAG_MASK_RESTORE => TraceEvent::MaskRestore {
-                method: MethodId::from_raw(self.id32()),
-            },
-            TAG_OVERFLOW => side[self.wide() as usize]
-                .clone()
-                .expect("overflow slot is live while its ring entry is"),
-            tag => unreachable!("corrupt packed-event tag {tag}"),
-        }
-    }
-}
-
 /// A bounded ring-buffer [`TraceSink`]: keeps the most recent `capacity`
-/// events, dropping the oldest. Memory use is fixed, so the sink is safe
-/// to leave installed for a whole campaign.
-///
-/// Storage is a flat ring of 16-byte [`PackedEvent`]s — the hot `record`
-/// path does two word stores into a preallocated slot, no `VecDeque`
-/// bookkeeping, no enum-sized moves, and all name/field formatting stays
-/// deferred to [`TraceEvent::render`] at decode time. Events that do not
-/// fit the packed layout (out-of-range depths or slots) spill to a small
-/// side table whose slots are reclaimed when their ring entry is
-/// overwritten, so memory stays bounded by `capacity` either way.
+/// events, dropping the oldest. Memory use is fixed by `capacity`, so a
+/// long replay cannot grow the recorder without bound.
 #[derive(Debug, Clone)]
 pub struct RingBufferSink {
     capacity: usize,
-    /// The ring. Grows up to `capacity`, then wraps: `head` is the oldest
-    /// entry (and the next to be overwritten) once full.
-    ring: Vec<PackedEvent>,
-    head: usize,
-    /// Spilled events for `TAG_OVERFLOW` entries, slot-addressed.
-    side: Vec<Option<TraceEvent>>,
-    /// Reusable indices of vacated `side` slots.
-    free: Vec<usize>,
+    ring: VecDeque<TraceEvent>,
     emitted: u64,
 }
 
@@ -491,10 +257,7 @@ impl RingBufferSink {
         let capacity = capacity.max(1);
         RingBufferSink {
             capacity,
-            ring: Vec::with_capacity(capacity.min(1024)),
-            head: 0,
-            side: Vec::new(),
-            free: Vec::new(),
+            ring: VecDeque::with_capacity(capacity.min(1024)),
             emitted: 0,
         }
     }
@@ -524,55 +287,23 @@ impl RingBufferSink {
         self.ring.is_empty()
     }
 
-    /// Iterates over the retained events, oldest first, decoding each from
-    /// its packed representation.
+    /// Iterates over the retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        let (older, newer) = self.ring.split_at(self.head.min(self.ring.len()));
-        newer
-            .iter()
-            .chain(older.iter())
-            .map(|p| p.unpack(&self.side))
+        self.ring.iter().cloned()
     }
 
     /// Consumes the sink, returning the retained events oldest-first.
     pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events().collect()
-    }
-
-    fn encode(&mut self, event: TraceEvent) -> PackedEvent {
-        match PackedEvent::pack(&event) {
-            Some(packed) => packed,
-            None => {
-                let index = match self.free.pop() {
-                    Some(slot) => {
-                        self.side[slot] = Some(event);
-                        slot
-                    }
-                    None => {
-                        self.side.push(Some(event));
-                        self.side.len() - 1
-                    }
-                };
-                PackedEvent::overflow(index)
-            }
-        }
+        self.ring.into()
     }
 }
 
 impl TraceSink for RingBufferSink {
     fn record(&mut self, event: TraceEvent) {
-        let packed = self.encode(event);
-        if self.ring.len() < self.capacity {
-            self.ring.push(packed);
-        } else {
-            let old = std::mem::replace(&mut self.ring[self.head], packed);
-            if old.tag() == TAG_OVERFLOW {
-                let slot = old.wide() as usize;
-                self.side[slot] = None;
-                self.free.push(slot);
-            }
-            self.head = (self.head + 1) % self.capacity;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
         }
+        self.ring.push_back(event);
         self.emitted += 1;
     }
 }
@@ -631,144 +362,6 @@ mod tests {
             })
             .collect();
         assert_eq!(spent, vec![7, 8, 9], "oldest events fall off the front");
-    }
-
-    /// One instance of every variant, with both in-range and out-of-range
-    /// (overflowing) auxiliary fields.
-    fn all_variants() -> Vec<TraceEvent> {
-        let m = MethodId::from_raw(u32::MAX);
-        let c = ClassId::from_raw(7);
-        let e = ExcId::from_raw(3);
-        vec![
-            TraceEvent::CallEnter {
-                method: m,
-                kind: CallKind::Ctor,
-                depth: 12,
-                seq: u64::MAX,
-            },
-            // Depth past 2^23: spills to the side table.
-            TraceEvent::CallEnter {
-                method: m,
-                kind: CallKind::Method,
-                depth: 1 << 23,
-                seq: 5,
-            },
-            TraceEvent::CallExit {
-                method: m,
-                seq: 9,
-                threw: true,
-            },
-            TraceEvent::InjectionFire {
-                method: m,
-                exc: e,
-                point: 1 << 60,
-            },
-            TraceEvent::ExcThrow {
-                exc: ExcId::from_raw(u32::MAX),
-                chain: u64::MAX,
-            },
-            TraceEvent::ExcPropagate {
-                method: m,
-                exc: e,
-                chain: 3,
-                depth: 4095,
-            },
-            // Slot past the 12-bit propagate budget: spills.
-            TraceEvent::ExcPropagate {
-                method: m,
-                exc: e,
-                chain: 3,
-                depth: 4096,
-            },
-            TraceEvent::ExcDeliver { exc: e, chain: 1 },
-            TraceEvent::HeapAlloc {
-                obj: ObjId::from_raw(u64::MAX),
-                class: c,
-            },
-            TraceEvent::HeapWrite {
-                obj: ObjId::from_raw(3),
-                class: c,
-                slot: (1 << 24) - 1,
-            },
-            // Slot past 2^24: spills.
-            TraceEvent::HeapWrite {
-                obj: ObjId::from_raw(3),
-                class: c,
-                slot: 1 << 24,
-            },
-            TraceEvent::UndoWrite {
-                obj: ObjId::from_raw(3),
-                class: c,
-                slot: 2,
-            },
-            TraceEvent::JournalPush { depth: usize::MAX },
-            TraceEvent::JournalCommit { depth: 0 },
-            TraceEvent::JournalAbort {
-                depth: u32::MAX as usize,
-                undone: usize::MAX,
-            },
-            // Depth past u32: spills.
-            TraceEvent::JournalAbort {
-                depth: u32::MAX as usize + 1,
-                undone: 1,
-            },
-            TraceEvent::BudgetCharge { spent: 1 },
-            TraceEvent::BudgetExhausted { spent: u64::MAX },
-            TraceEvent::MaskCheckpoint { method: m },
-            TraceEvent::MaskRestore { method: m },
-        ]
-    }
-
-    #[test]
-    fn packed_roundtrip_is_lossless_for_every_variant() {
-        let variants = all_variants();
-        let mut sink = RingBufferSink::new(variants.len());
-        for event in &variants {
-            sink.record(event.clone());
-        }
-        let decoded: Vec<TraceEvent> = sink.events().collect();
-        assert_eq!(decoded, variants);
-        assert_eq!(sink.clone().into_events(), variants);
-    }
-
-    #[test]
-    fn overflow_slots_are_reclaimed_on_ring_wrap() {
-        // A capacity-2 ring fed only overflowing events: the side table
-        // must stay bounded (2 live slots plus the free list), not grow
-        // with `emitted`.
-        let spill = |i: usize| TraceEvent::JournalPush { depth: i };
-        let mut sink = RingBufferSink::new(2);
-        for i in 0..100 {
-            // Alternate spilled and packed events to exercise reclamation
-            // interleaving.
-            sink.record(TraceEvent::CallEnter {
-                method: MethodId::from_raw(i as u32),
-                kind: CallKind::Method,
-                depth: (1 << 23) + i, // always overflows
-                seq: i as u64,
-            });
-            sink.record(spill(i));
-        }
-        assert_eq!(sink.emitted(), 200);
-        assert_eq!(sink.len(), 2);
-        assert!(
-            sink.side.len() <= 3,
-            "side table grew unbounded: {} slots",
-            sink.side.len()
-        );
-        let last: Vec<TraceEvent> = sink.events().collect();
-        assert_eq!(
-            last,
-            vec![
-                TraceEvent::CallEnter {
-                    method: MethodId::from_raw(99),
-                    kind: CallKind::Method,
-                    depth: (1 << 23) + 99,
-                    seq: 99,
-                },
-                spill(99),
-            ]
-        );
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl Vm {
         self.tracer = tracer;
     }
 
-    /// `true` iff a trace sink is installed.
-    pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Records one event on the installed sink, if any. Public so hooks in
     /// other crates (injection, masking) can add their own span events.
     pub fn trace(&self, event: TraceEvent) {

@@ -9,14 +9,13 @@
 //! the default engine (lazy capture, checkpoint-resume) must reproduce the
 //! eager from-scratch reference under both masking strategies.
 //!
-//! Tracing is observation only: a ring-buffer flight recorder changes no
-//! run of any campaign over the suite beyond its event count, and the
-//! traced sweep agrees with [`Campaign::replay`], the literal-loop
+//! Every sweep over the suite, detection and verification alike, agrees
+//! run for run with [`Campaign::replay`], the traced literal-loop
 //! reference.
 
 use atomask_suite::{
     classify, Campaign, CampaignConfig, CampaignResult, CaptureMode, CheckpointStride, FnProgram,
-    MaskStrategy, MethodId, Policy, Profile, Program, RegistryBuilder, RunResult, TraceMode, Value,
+    MaskStrategy, MethodId, Policy, Profile, Program, RegistryBuilder, RunResult, Value,
 };
 use std::collections::HashSet;
 
@@ -35,16 +34,6 @@ fn normalized(run: &RunResult) -> RunResult {
     run
 }
 
-/// Zeroes the one field a flight recorder changes.
-fn untraced(run: &RunResult) -> RunResult {
-    let mut run = run.clone();
-    run.trace_events = 0;
-    run
-}
-
-/// The flight recorder stays off (the default): lazy capture emits journal
-/// push/commit trace events that eager capture has no reason to, so under
-/// a live recorder the `trace_events` counts would differ by design.
 fn config(capture: CaptureMode) -> CampaignConfig {
     CampaignConfig {
         capture,
@@ -99,20 +88,15 @@ fn eager_and_lazy_capture_classify_identically_across_the_suite() {
 }
 
 /// Asserts two campaigns agree run for run and journal for journal, once
-/// both sides' runs pass through `normalize`.
-fn assert_equivalent(
-    label: &str,
-    reference: &CampaignResult,
-    other: &CampaignResult,
-    normalize: fn(&RunResult) -> RunResult,
-) {
+/// both sides' runs are [`normalized`].
+fn assert_equivalent(label: &str, reference: &CampaignResult, other: &CampaignResult) {
     assert_eq!(reference.total_points, other.total_points, "{label}");
     assert_eq!(reference.baseline_calls, other.baseline_calls, "{label}");
     assert_eq!(reference.runs.len(), other.runs.len(), "{label}");
     for (r, o) in reference.runs.iter().zip(&other.runs) {
         assert_eq!(
-            normalize(r),
-            normalize(o),
+            normalized(r),
+            normalized(o),
             "{label} point {}: engines disagree",
             r.injection_point
         );
@@ -124,7 +108,7 @@ fn assert_equivalent(
         journal.bind(&result.program);
         journal.record_baseline(result.total_points, &result.baseline_calls);
         for run in &result.runs {
-            journal.record_run(&normalize(run));
+            journal.record_run(&normalized(run));
         }
         journal.serialize()
     };
@@ -154,7 +138,7 @@ fn eager_from_scratch() -> CampaignConfig {
     }
 }
 
-/// The default engine: lazy capture, checkpoint-resume, no recorder.
+/// The default engine: lazy capture, checkpoint-resume.
 fn default_engine() -> CampaignConfig {
     CampaignConfig::default()
 }
@@ -176,61 +160,39 @@ fn verification_on_the_default_engine_matches_eager_from_scratch() {
                     .run()
             };
             let label = format!("{} {strategy:?}", spec.name);
-            assert_equivalent(
-                &label,
-                &run(eager_from_scratch()),
-                &run(default_engine()),
-                normalized,
-            );
+            assert_equivalent(&label, &run(eager_from_scratch()), &run(default_engine()));
         }
     }
 }
 
-/// Asserts a traced campaign equals its untraced twin up to event counts,
-/// and that the recorder saw events.
-fn assert_trace_is_observation_only(label: &str, off: &CampaignResult, ring: &CampaignResult) {
-    assert_eq!(
-        off.health().trace_events,
-        0,
-        "{label}: untraced sweep traced"
-    );
-    assert!(
-        ring.health().trace_events > 0,
-        "{label}: recorder saw nothing"
-    );
-    assert_equivalent(label, off, ring, untraced);
+/// Asserts every 7th run of `sweep` equals its replay exactly.
+fn assert_replays_match(label: &str, campaign: &Campaign<'_>, sweep: &CampaignResult) {
+    for run in sweep.runs.iter().step_by(7) {
+        assert_eq!(
+            campaign.replay(run.injection_point).run,
+            *run,
+            "{label} point {}: sweep and replay differ",
+            run.injection_point
+        );
+    }
 }
 
 #[test]
-fn ring_tracing_changes_only_event_counts_across_the_suite() {
+fn sweeps_equal_their_replays_across_the_suite() {
     let policy = Policy::default();
-    let ring = CampaignConfig {
-        trace: TraceMode::Ring(4096),
-        ..default_engine()
-    };
     for spec in atomask_suite::apps::all_apps() {
         let program = spec.program();
-        let detect = |config| Campaign::new(&program).config(config).max_points(CAP).run();
-        let detection = detect(default_engine());
-        assert_trace_is_observation_only(spec.name, &detection, &detect(ring));
+        let campaign = Campaign::new(&program)
+            .config(default_engine())
+            .max_points(CAP);
+        let detection = campaign.run();
+        assert_replays_match(spec.name, &campaign, &detection);
         let mask_set = policy.mask_set(&classify(&detection, &policy.mark_filter()));
         for strategy in [MaskStrategy::DeepCopy, MaskStrategy::UndoLog] {
+            let campaign =
+                masked_campaign(&program, &mask_set, strategy, default_engine()).max_points(CAP);
             let label = format!("{} {strategy:?}", spec.name);
-            let verify =
-                |config| masked_campaign(&program, &mask_set, strategy, config).max_points(CAP);
-            let campaign = verify(ring);
-            let traced = campaign.run();
-            assert_trace_is_observation_only(&label, &verify(default_engine()).run(), &traced);
-            // Replay records its own trace; its event count equals the
-            // traced sweep's exactly.
-            for run in traced.runs.iter().step_by(7) {
-                assert_eq!(
-                    campaign.replay(run.injection_point).run,
-                    *run,
-                    "{label} point {}: sweep and replay differ",
-                    run.injection_point
-                );
-            }
+            assert_replays_match(&label, &campaign, &campaign.run());
         }
     }
 }
@@ -299,12 +261,7 @@ fn mask_reclaim_inside_an_open_wrapper_keeps_the_before_graph() {
             .iter()
             .find(|r| r.marks.iter().any(|m| !m.atomic))
             .expect("Holder::drop is marked non-atomic");
-        assert_equivalent(
-            &format!("{strategy:?}"),
-            &reference,
-            &run(default_engine()),
-            normalized,
-        );
+        assert_equivalent(&format!("{strategy:?}"), &reference, &run(default_engine()));
         // Replay minimizes inside verification campaigns too: the one
         // surviving write is the dropped reference.
         let replay = masked_campaign(&program, &mask_set, strategy, default_engine())
