@@ -1,8 +1,9 @@
 //! Hot-path micro-benchmarks for the sweep-throughput engine: the heap
 //! write journal (push/write/abort and epoch reset), incremental graph
-//! fingerprints under small dirty sets, and the injection wrapper's
-//! fast-forward point counting on disarmed calls. These are the inner
-//! loops whose constants set the detection campaign's points/sec.
+//! fingerprints over as-of views with few touched objects, and the
+//! injection wrapper's fast-forward point counting on disarmed calls.
+//! These are the inner loops whose constants set the detection campaign's
+//! points/sec.
 
 use atomask::synthetic::perf_vm;
 use atomask::{CaptureMode, InjectionHook};
@@ -10,7 +11,6 @@ use atomask_mor::{ObjId, Profile, RegistryBuilder, Value, Vm};
 use atomask_objgraph::{graph_fingerprint, FingerprintCache};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::hint::black_box;
 use std::rc::Rc;
 
@@ -67,7 +67,7 @@ fn bench_journal(c: &mut Criterion) {
             heap.push_journal();
             heap.set_field(h, "a", Value::Int(77)).unwrap();
             heap.set_field(h, "a", original.clone()).unwrap();
-            let reverted = heap.journal_innermost_reverted();
+            let reverted = heap.asof_innermost().expect("layer is open").reverted();
             heap.abort_journal();
             black_box(reverted)
         });
@@ -96,32 +96,29 @@ fn bench_fingerprint(c: &mut Criterion) {
         let roots = [head];
         b.iter(|| {
             let mut cache = FingerprintCache::new();
-            black_box(graph_fingerprint(
-                vm.heap(),
-                &roots,
-                &mut cache,
-                &HashSet::new(),
-            ))
+            black_box(graph_fingerprint(vm.heap(), &roots, &mut cache))
         });
     });
-    // Warm with a 1-node dirty set: the exception path's incremental
-    // recomputation after a typical small write set.
+    // Warm as-of walk with one touched node: the exception path's
+    // before-fingerprint after a typical small write set, over a cache the
+    // after-walk filled from the live heap.
     group.bench_function("warm_dirty1_of_256", |b| {
-        let (vm, head, mid) = list_vm(NODES);
+        let (mut vm, head, mid) = list_vm(NODES);
+        vm.heap_mut().push_journal();
+        vm.heap_mut().set_field(mid, "val", Value::Int(-1)).unwrap();
         let roots = [head];
         let mut cache = FingerprintCache::new();
-        graph_fingerprint(vm.heap(), &roots, &mut cache, &HashSet::new());
-        let dirty: HashSet<ObjId> = [mid].into_iter().collect();
-        b.iter(|| black_box(graph_fingerprint(vm.heap(), &roots, &mut cache, &dirty)));
+        graph_fingerprint(vm.heap(), &roots, &mut cache);
+        let view = vm.heap().asof_innermost().expect("layer is open");
+        b.iter(|| black_box(graph_fingerprint(&view, &roots, &mut cache)));
     });
-    // Fully warm, empty dirty set: the floor (walk + cache reads only).
+    // Fully warm live walk: the floor (walk + cache reads only).
     group.bench_function("warm_clean_256", |b| {
         let (vm, head, _) = list_vm(NODES);
         let roots = [head];
         let mut cache = FingerprintCache::new();
-        graph_fingerprint(vm.heap(), &roots, &mut cache, &HashSet::new());
-        let clean = HashSet::new();
-        b.iter(|| black_box(graph_fingerprint(vm.heap(), &roots, &mut cache, &clean)));
+        graph_fingerprint(vm.heap(), &roots, &mut cache);
+        b.iter(|| black_box(graph_fingerprint(vm.heap(), &roots, &mut cache)));
     });
     group.finish();
 }

@@ -6,6 +6,9 @@
 //! report perfgate [--tolerance <pct>]
 //! ```
 //!
+//! Without a subcommand it runs `all`; an unknown subcommand prints this
+//! usage to stderr and exits with status 2.
+//!
 //! `--quick` caps every campaign at 300 injection points and shrinks the
 //! Fig. 5 grid; without it the full sweeps run (as in the paper).
 //!
@@ -34,6 +37,24 @@ use atomask_bench::{
     detection_perf_json, evaluate_apps, geomean, geomean_sequential_pps, measure_detection,
     parse_sequential_pps,
 };
+
+/// The subcommand forms listed in the module doc.
+const USAGE: &str = "usage: report [table1|fig2|fig3|fig4|fig5|casestudy|perf|all] [--quick]
+       report repro --app <name> --point <n>
+       report perfgate [--tolerance <pct>]";
+
+const SUBCOMMANDS: [&str; 10] = [
+    "table1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "casestudy",
+    "perf",
+    "all",
+    "repro",
+    "perfgate",
+];
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -128,6 +149,10 @@ fn main() {
         .unwrap_or("all");
     let cap = if quick { Some(300) } else { None };
 
+    if !SUBCOMMANDS.contains(&what) {
+        eprintln!("unknown subcommand `{what}`\n{USAGE}");
+        std::process::exit(2);
+    }
     if what == "repro" {
         repro(&args);
         return;

@@ -611,8 +611,12 @@ impl<'p> Campaign<'p> {
 
     /// Executes the campaign.
     pub fn run(&self) -> CampaignResult {
-        let mut scratch = CampaignJournal::new();
-        self.resume(&mut scratch)
+        // Every point is missing from a fresh journal, so the sweep appends
+        // the runs in point order and the result takes them over.
+        let mut journal = CampaignJournal::new();
+        let mut result = self.execute(&mut journal);
+        result.runs = journal.into_runs();
+        result
     }
 
     /// Executes the campaign, reusing every run already present in
@@ -626,6 +630,22 @@ impl<'p> Campaign<'p> {
     /// Panics if `journal` was recorded by a different program (host
     /// error).
     pub fn resume(&self, journal: &mut CampaignJournal) -> CampaignResult {
+        let mut result = self.execute(journal);
+        result.runs = (1..=self.limit(result.total_points))
+            .map(|p| {
+                journal
+                    .run_for(p)
+                    .expect("the sweep journals every point")
+                    .clone()
+            })
+            .collect();
+        result
+    }
+
+    /// Brings `journal` up to date — baseline recorded, every point in
+    /// `1..=limit` journaled — and returns the campaign's result without
+    /// its runs, which the caller takes from the journal.
+    fn execute(&self, journal: &mut CampaignJournal) -> CampaignResult {
         journal.bind(self.program.name());
         let registry = Rc::new(self.program.build_registry());
 
@@ -654,7 +674,7 @@ impl<'p> Campaign<'p> {
             }
         };
 
-        let limit = self.max_points.unwrap_or(total_points).min(total_points);
+        let limit = self.limit(total_points);
         let missing: Vec<u64> = (1..=limit)
             .filter(|p| journal.run_for(*p).is_none())
             .collect();
@@ -666,23 +686,28 @@ impl<'p> Campaign<'p> {
         } else {
             self.config.checkpoint_stride.resolve(limit)
         };
-        let runs = self.sweep(journal, &registry, limit, &missing, stride);
+        self.sweep(journal, &registry, limit, &missing, stride);
 
         CampaignResult {
             program: self.program.name().to_owned(),
             registry,
             total_points,
             baseline_calls,
-            runs,
+            runs: Vec::new(),
         }
     }
 
-    /// Executes the missing points and folds every point in `1..=limit`
-    /// into the journal in injection-point order. One worker runs each
-    /// point inline on the campaign thread, over the campaign's registry;
-    /// more workers shard the missing points across a thread pool and
-    /// feed the same ordered writer, so the journal and the returned runs
-    /// are bit-for-bit the same whatever the worker count.
+    /// The last injection point a campaign of `total_points` sweeps.
+    fn limit(&self, total_points: u64) -> u64 {
+        self.max_points.unwrap_or(total_points).min(total_points)
+    }
+
+    /// Executes the missing points and appends them to the journal in
+    /// injection-point order. One worker runs each point inline on the
+    /// campaign thread, over the campaign's registry; more workers shard
+    /// the missing points across a thread pool and feed the same ordered
+    /// writer, so the journal is bit-for-bit the same whatever the worker
+    /// count.
     ///
     /// `max_failures` semantics: the writer counts unhealthy runs in point
     /// order and, once the cap is reached, records every later point as
@@ -696,7 +721,7 @@ impl<'p> Campaign<'p> {
         limit: u64,
         missing: &[u64],
         stride: Option<u64>,
-    ) -> Vec<RunResult> {
+    ) {
         let workers = plan_worker_count(
             self.config.workers,
             env_workers(),
@@ -708,7 +733,6 @@ impl<'p> Campaign<'p> {
         let next = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<RunResult>();
-        let mut runs = Vec::with_capacity(limit as usize);
         // Checkpoint-aligned chunked claiming: per-point `fetch_add(1)`
         // interleaves neighbouring points across workers, which defeats
         // checkpoint locality (consecutive points share a checkpoint) and
@@ -752,8 +776,8 @@ impl<'p> Campaign<'p> {
             let mut pending: HashMap<u64, RunResult> = HashMap::new();
             let mut unhealthy = 0u64;
             for injection_point in 1..=limit {
-                let run = if let Some(done) = journal.run_for(injection_point) {
-                    done.clone()
+                let healthy = if let Some(done) = journal.run_for(injection_point) {
+                    done.is_healthy()
                 } else {
                     let run = if self.config.max_failures.is_some_and(|cap| unhealthy >= cap) {
                         cancelled.store(true, Ordering::Relaxed);
@@ -776,20 +800,19 @@ impl<'p> Campaign<'p> {
                             }
                         }
                     };
-                    journal.record_run(&run);
-                    run
+                    let healthy = run.is_healthy();
+                    journal.push_run(run);
+                    healthy
                 };
-                if !run.is_healthy() {
+                if !healthy {
                     unhealthy += 1;
                 }
-                runs.push(run);
             }
             // Stop workers that are still claiming; results in flight are
             // simply dropped (they were past the cap or past the limit).
             cancelled.store(true, Ordering::Relaxed);
             while rx.try_recv().is_ok() {}
         });
-        runs
     }
 
     /// A point executor over one recycled VM universe on `registry` (and

@@ -6,7 +6,6 @@ use atomask_mor::{
     CallHook, CallSite, ExcId, Exception, HookGuard, MethodId, MethodResult, ObjId, TraceEvent, Vm,
 };
 use atomask_objgraph::{graph_fingerprint, FingerprintCache, Snapshot};
-use std::collections::HashSet;
 
 /// How the injection wrapper captures the pre-call state it compares
 /// against when an exception propagates (Listing 1 line 6).
@@ -78,11 +77,9 @@ pub struct InjectionHook {
     fast_forward: bool,
     /// Memoized per-object structural hashes for the fingerprint fast
     /// path, persisted across the wrappers of one propagation cascade
-    /// (the heap does not mutate while an exception unwinds).
+    /// (the heap does not mutate while an exception unwinds; the cache
+    /// empties itself once the heap's mutation epoch moves).
     fp_cache: FingerprintCache,
-    /// The heap mutation epoch `fp_cache` was filled against; a moved
-    /// epoch invalidates the whole cache.
-    fp_epoch: Option<u64>,
 }
 
 impl InjectionHook {
@@ -99,7 +96,6 @@ impl InjectionHook {
             divergence: None,
             fast_forward: true,
             fp_cache: FingerprintCache::new(),
-            fp_epoch: None,
         }
     }
 
@@ -216,18 +212,20 @@ impl InjectionHook {
     /// Listing 1 lines 10-14 under lazy capture: compare the layer-open
     /// state against the live heap, mark, and fold the layer.
     ///
-    /// The comparison is staged from cheapest to most detailed; each stage
-    /// only runs when the previous one could not already decide:
+    /// One as-of view of the layer ([`atomask_mor::AsOfHeap`]) serves
+    /// every stage. The comparison is staged from cheapest to most
+    /// detailed; each stage only runs when the previous one could not
+    /// already decide:
     ///
-    /// 1. **Revert check, O(dirty)** — if every journaled cell reads its
-    ///    layer-open value bit-for-bit, the graphs are provably equal:
+    /// 1. **Revert check, O(written cells)** — if every written cell reads
+    ///    its layer-open value bit-for-bit, the graphs are provably equal:
     ///    mark atomic without touching the graph at all.
     /// 2. **Fingerprint compare** — 64-bit structural hashes of both
-    ///    views, memoized per object through [`FingerprintCache`] and
-    ///    invalidated via the heap's mutation epoch plus the layer's
-    ///    dirty set. Equal hashes mark atomic; since the fingerprint is a
-    ///    pure function of the canonical trace, *unequal* hashes prove
-    ///    the traces differ.
+    ///    views, memoized per object through [`FingerprintCache`], which
+    ///    skips the objects the layer touched and drops itself when the
+    ///    heap's mutation epoch moves. Equal hashes mark atomic; since the
+    ///    fingerprint is a pure function of the canonical trace, *unequal*
+    ///    hashes prove the traces differ.
     /// 3. **Full structural diff** — only on fingerprint mismatch, to
     ///    produce the `first_difference` detail for the non-atomic mark
     ///    (and the snapshot the minimizer probes against).
@@ -237,51 +235,26 @@ impl InjectionHook {
     /// the heap (which would thrash the cache), and replay deliberately
     /// stays on the reference path.
     fn lazy_compare(&mut self, vm: &mut Vm, site: &CallSite, exc: &Exception) {
-        if !self.minimize {
-            // Stage 1: exact O(dirty) revert check.
-            if vm.heap().journal_innermost_reverted() {
-                self.marks.push(Mark::atomic(site.method, exc.chain));
-                vm.heap_mut().commit_journal();
-                return;
-            }
-            // Stage 2: fingerprint compare. The cache survives across the
-            // wrappers of one propagation cascade — the heap cannot
-            // mutate while the exception unwinds — and is dropped
-            // wholesale when the mutation epoch moves.
-            let epoch = vm.heap().mutation_epoch();
-            if self.fp_epoch != Some(epoch) {
-                self.fp_cache.clear();
-                self.fp_epoch = Some(epoch);
-            }
-            let roots = snapshot_roots(site);
-            let heap = vm.heap();
-            let dirty = heap.journal_innermost_touched();
-            // After-walk first: it fills the cache against the live heap,
-            // which the before-walk then reuses for every clean object.
-            let after_fp = graph_fingerprint(heap, &roots, &mut self.fp_cache, &HashSet::new());
-            let asof = heap
-                .asof_innermost()
-                .expect("lazy capture layer is open in after()");
-            let before_fp = graph_fingerprint(&asof, &roots, &mut self.fp_cache, &dirty);
-            if before_fp == after_fp {
-                self.marks.push(Mark::atomic(site.method, exc.chain));
-                vm.heap_mut().commit_journal();
-                return;
-            }
-        }
-        // Stage 3: reconstruct the before-graph from the undo log, trace
-        // the live heap for the after-graph, compare, mark, fold.
         let roots = snapshot_roots(site);
-        let (before, after) = {
-            let heap = vm.heap();
-            let asof = heap
-                .asof_innermost()
-                .expect("lazy capture layer is open in after()");
-            (
-                Snapshot::of_source(&asof, &roots),
-                Snapshot::of_roots(heap, &roots),
-            )
-        };
+        let heap = vm.heap();
+        let view = heap
+            .asof_innermost()
+            .expect("lazy capture layer is open in after()");
+        // Stage 2 walks the live heap first: that fills the cache, which
+        // the walk of the view then reuses for every untouched object.
+        if !self.minimize
+            && (view.reverted()
+                || graph_fingerprint(heap, &roots, &mut self.fp_cache)
+                    == graph_fingerprint(&view, &roots, &mut self.fp_cache))
+        {
+            self.marks.push(Mark::atomic(site.method, exc.chain));
+            vm.heap_mut().commit_journal();
+            return;
+        }
+        // Stage 3: trace the before-graph through the view and the
+        // after-graph from the live heap, compare, mark, fold.
+        let before = Snapshot::of_source(&view, &roots);
+        let after = Snapshot::of_roots(heap, &roots);
         self.stats.snapshots += 2;
         self.stats.capture_bytes += before.approx_bytes() + after.approx_bytes();
         self.push_mark(site, exc, &before, &after);
@@ -293,8 +266,15 @@ impl InjectionHook {
             if let Some(mark) = self.marks.last() {
                 if !mark.atomic {
                     let diff = mark.diff.clone().unwrap_or_default();
+                    // The minimizer probes the heap, so the layer's cells
+                    // are copied out of the view first.
+                    let cells = view
+                        .cells()
+                        .iter()
+                        .map(|&(obj, slot, open_value)| (obj, slot, open_value.clone()))
+                        .collect();
                     self.divergence = Some(crate::replay::minimize_divergence(
-                        vm, site, exc.chain, diff, &before, &roots,
+                        vm, site, exc.chain, diff, &before, &roots, cells,
                     ));
                 }
             }

@@ -15,6 +15,7 @@
 use crate::campaign::{RunOutcome, RunResult};
 use crate::marks::Mark;
 use atomask_mor::{ExcId, MethodId};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Magic first line of the text form; bump the version on format changes.
@@ -34,6 +35,8 @@ pub struct CampaignJournal {
     program: Option<String>,
     baseline: Option<(u64, Vec<u64>)>,
     runs: Vec<RunResult>,
+    /// Injection point → index in `runs` of its first run.
+    by_point: HashMap<u64, usize>,
 }
 
 impl CampaignJournal {
@@ -81,14 +84,21 @@ impl CampaignJournal {
     /// Appends one finished run (cloned into the journal, so callers keep
     /// ownership of theirs).
     pub fn record_run(&mut self, run: &RunResult) {
-        self.runs.push(run.clone());
+        self.push_run(run.clone());
     }
 
-    /// The journaled result for `injection_point`, if that run finished.
+    /// Appends one finished run, taking ownership of it.
+    pub(crate) fn push_run(&mut self, run: RunResult) {
+        self.by_point
+            .entry(run.injection_point)
+            .or_insert(self.runs.len());
+        self.runs.push(run);
+    }
+
+    /// The journaled result for `injection_point`, if that run finished
+    /// (the first one, should the journal hold the point twice). O(1).
     pub fn run_for(&self, injection_point: u64) -> Option<&RunResult> {
-        self.runs
-            .iter()
-            .find(|r| r.injection_point == injection_point)
+        self.by_point.get(&injection_point).map(|&i| &self.runs[i])
     }
 
     /// All journaled runs, in append order.
@@ -110,6 +120,12 @@ impl CampaignJournal {
     /// an interruption.
     pub fn truncate_runs(&mut self, keep: usize) {
         self.runs.truncate(keep);
+        self.by_point.retain(|_, i| *i < keep);
+    }
+
+    /// Consumes the journal, returning its runs in append order.
+    pub(crate) fn into_runs(self) -> Vec<RunResult> {
+        self.runs
     }
 
     /// Renders the journal in its line-oriented text form.
@@ -237,7 +253,7 @@ impl CampaignJournal {
                     if version == 3 {
                         parse_u64(fields[7], lineno, "trace events")?;
                     }
-                    journal.runs.push(RunResult {
+                    journal.push_run(RunResult {
                         injection_point: parse_u64(fields[1], lineno, "injection point")?,
                         injected,
                         marks: Vec::new(),
@@ -405,6 +421,12 @@ mod tests {
         assert!(j.run_for(1).is_none());
         assert_eq!(j.len(), 1);
         assert!(!j.is_empty());
+        // A point journaled twice resolves to its first run.
+        let mut again = sample_run(4);
+        again.retries = 9;
+        j.record_run(&again);
+        assert_eq!(j.run_for(4).unwrap().retries, 1);
+        assert_eq!(j.len(), 2);
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub struct ReplayReport {
 /// Minimizes the surviving write set of a non-atomic mark. Called by the
 /// injection wrapper while its undo-log layer is still open: `before` is
 /// the reconstructed layer-open snapshot, `roots` the wrapped call's
-/// receiver and by-reference arguments.
+/// receiver and by-reference arguments, and `cells` the layer's written
+/// cells with their layer-open values ([`atomask_mor::AsOfHeap::cells`]).
 pub(crate) fn minimize_divergence(
     vm: &mut Vm,
     site: &CallSite,
@@ -118,11 +119,10 @@ pub(crate) fn minimize_divergence(
     first_diff: String,
     before: &Snapshot,
     roots: &[ObjId],
+    cells: Vec<(ObjId, usize, Value)>,
 ) -> Divergence {
     let registry = vm.registry().clone();
-    let surviving: Vec<SurvivingWrite> = vm
-        .heap()
-        .journal_innermost_writes()
+    let surviving: Vec<SurvivingWrite> = cells
         .into_iter()
         .filter_map(|(obj, slot, open_value)| {
             let current = vm.heap().field_by_slot(obj, slot)?;

@@ -728,11 +728,17 @@ impl Heap {
     }
 
     /// Read-only view of the heap **as it was when the innermost open
-    /// journal layer was pushed**, reconstructed from the undo log:
-    /// journaled writes are overlaid first-write-wins (the first recorded
-    /// `old` value per field is the value at layer-open time) and objects
-    /// allocated under the layer are treated as absent. Returns `None`
-    /// when no layer is open.
+    /// journal layer was pushed**, reconstructed from the undo log.
+    /// Returns `None` when no layer is open.
+    ///
+    /// This is the one place the layer's write log is collapsed: each
+    /// written cell keeps its *first* recorded `old` value — its value at
+    /// layer-open time — and later entries for the same cell are
+    /// intra-layer noise. Objects allocated under the layer are absent
+    /// from the view. [`AsOfHeap::node`], [`AsOfHeap::reverted`],
+    /// [`AsOfHeap::touched`] and [`AsOfHeap::cells`] all answer from that
+    /// one collapse, so a caller builds one view per question it asks of
+    /// the layer, not one walk of the log per query.
     ///
     /// This is the paper's §6.2 capture optimization turned around: the
     /// detection wrapper's "deep copy before the call" becomes an
@@ -740,91 +746,22 @@ impl Heap {
     /// eager snapshot.
     pub fn asof_innermost(&self) -> Option<AsOfHeap<'_>> {
         let &(writes_mark, allocs_mark) = self.journal.layers.last()?;
-        let mut overlay: HashMap<(ObjId, usize), &Value> = HashMap::new();
+        let mut cells: Vec<(ObjId, usize, &Value)> = Vec::new();
+        let mut written: HashMap<ObjId, Vec<usize>> = HashMap::new();
         for (id, slot, old) in &self.journal.writes[writes_mark..] {
-            overlay.entry((*id, *slot)).or_insert(old);
+            let seen = written.entry(*id).or_default();
+            if seen.iter().all(|&i| cells[i].1 != *slot) {
+                seen.push(cells.len());
+                cells.push((*id, *slot, old));
+            }
         }
         let born = self.journal.allocs[allocs_mark..].iter().copied().collect();
         Some(AsOfHeap {
             heap: self,
-            overlay,
+            cells,
+            written,
             born,
         })
-    }
-
-    /// The innermost open layer's write set, collapsed to one entry per
-    /// heap cell: `(object, field slot, value at layer-open time)` in
-    /// first-write order. Empty when no layer is open.
-    ///
-    /// This is the overlay [`Heap::asof_innermost`] builds, materialized —
-    /// the divergence minimizer probes subsets of exactly these cells.
-    pub fn journal_innermost_writes(&self) -> Vec<(ObjId, usize, Value)> {
-        let Some(&(writes_mark, _)) = self.journal.layers.last() else {
-            return Vec::new();
-        };
-        let mut seen: HashSet<(ObjId, usize)> = HashSet::new();
-        let mut out = Vec::new();
-        for (id, slot, old) in &self.journal.writes[writes_mark..] {
-            if seen.insert((*id, *slot)) {
-                out.push((*id, *slot, old.clone()));
-            }
-        }
-        out
-    }
-
-    /// Returns `true` iff every heap cell written under the innermost open
-    /// layer currently holds **exactly** its layer-open value (bit-level
-    /// float comparison, matching canonical-trace equality), i.e. the
-    /// layer's net effect on pre-existing objects is nil. `O(dirty)`.
-    ///
-    /// When this holds, the object graph reachable from any root that
-    /// existed at layer-open time is structurally identical to its
-    /// layer-open state, so a before/after comparison can conclude
-    /// *atomic* without walking the graph at all. Objects **allocated**
-    /// under the layer cannot break this: layer-open field values can only
-    /// reference objects that already existed (ids are monotonic and never
-    /// reused), so if every dirty cell reads its layer-open value, no cell
-    /// reachable from a pre-existing root references a layer-born object.
-    /// [`Heap::reclaim`] releases nothing while a layer is open, so no
-    /// pre-existing object can have vanished either. Returns `true` when
-    /// no layer is open (an empty overlay changes nothing).
-    pub fn journal_innermost_reverted(&self) -> bool {
-        let Some(&(writes_mark, _)) = self.journal.layers.last() else {
-            return true;
-        };
-        let mut seen: HashSet<(ObjId, usize)> = HashSet::new();
-        for (id, slot, open_value) in &self.journal.writes[writes_mark..] {
-            // First-write-wins: only the first recorded `old` per cell is
-            // the layer-open value; later entries are intra-layer noise.
-            if !seen.insert((*id, *slot)) {
-                continue;
-            }
-            let Some(obj) = self.get(*id) else {
-                return false;
-            };
-            if !obj.fields[*slot].bit_eq(open_value) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The set of objects the innermost open layer touched: every object
-    /// with a journaled field write plus every object allocated under the
-    /// layer. Objects **not** in this set are bit-identical to their
-    /// layer-open state, so memoized per-object data (structural
-    /// fingerprints) computed against the live heap is still valid for the
-    /// layer-open view. Empty when no layer is open.
-    pub fn journal_innermost_touched(&self) -> HashSet<ObjId> {
-        let Some(&(writes_mark, allocs_mark)) = self.journal.layers.last() else {
-            return HashSet::new();
-        };
-        let mut touched: HashSet<ObjId> = self.journal.writes[writes_mark..]
-            .iter()
-            .map(|(id, _, _)| *id)
-            .collect();
-        touched.extend(self.journal.allocs[allocs_mark..].iter().copied());
-        touched
     }
 
     /// Overwrites one field slot **without** reference-count, journal, or
@@ -873,13 +810,21 @@ impl Heap {
 #[derive(Debug)]
 pub struct AsOfHeap<'h> {
     heap: &'h Heap,
-    /// First-write-wins overlay: the field's value at layer-open time.
-    overlay: HashMap<(ObjId, usize), &'h Value>,
+    /// `(object, field slot, value at layer-open time)` per written cell,
+    /// in first-write order.
+    cells: Vec<(ObjId, usize, &'h Value)>,
+    /// Indices into `cells` of each written object's cells.
+    written: HashMap<ObjId, Vec<usize>>,
     /// Objects allocated under the layer — absent from the view.
-    born: std::collections::HashSet<ObjId>,
+    born: HashSet<ObjId>,
 }
 
-impl AsOfHeap<'_> {
+impl<'h> AsOfHeap<'h> {
+    /// The live heap this view reads through.
+    pub fn heap(&self) -> &'h Heap {
+        self.heap
+    }
+
     /// The object's class and field values as of layer-open time, or
     /// `None` if the object did not exist then (allocated under the layer,
     /// or dead in the underlying heap).
@@ -893,12 +838,49 @@ impl AsOfHeap<'_> {
         }
         let obj = self.heap.get(id)?;
         let mut fields = obj.fields().to_vec();
-        for (slot, field) in fields.iter_mut().enumerate() {
-            if let Some(old) = self.overlay.get(&(id, slot)) {
-                *field = (*old).clone();
-            }
+        for &i in self.written.get(&id).into_iter().flatten() {
+            let (_, slot, open_value) = self.cells[i];
+            fields[slot] = open_value.clone();
         }
         Some((obj.class_id(), fields))
+    }
+
+    /// Returns `true` iff every cell the layer wrote currently holds
+    /// **exactly** its layer-open value (bit-level float comparison,
+    /// matching canonical-trace equality), i.e. the layer's net effect on
+    /// pre-existing objects is nil. `O(written cells)`.
+    ///
+    /// When this holds, the object graph reachable from any root that
+    /// existed at layer-open time is structurally identical to its
+    /// layer-open state, so a before/after comparison can conclude
+    /// *atomic* without walking the graph at all. Objects **allocated**
+    /// under the layer cannot break this: layer-open field values can only
+    /// reference objects that already existed (ids are monotonic and never
+    /// reused), so if every written cell reads its layer-open value, no
+    /// cell reachable from a pre-existing root references a layer-born
+    /// object. [`Heap::reclaim`] releases nothing while a layer is open, so
+    /// no pre-existing object can have vanished either.
+    pub fn reverted(&self) -> bool {
+        self.cells.iter().all(|&(id, slot, open_value)| {
+            self.heap
+                .get(id)
+                .is_some_and(|obj| obj.fields[slot].bit_eq(open_value))
+        })
+    }
+
+    /// Returns `true` iff the layer wrote a field of `id` or allocated it.
+    /// [`AsOfHeap::node`] of any other object equals the live heap's, so
+    /// data memoized per object against the live heap (structural
+    /// fingerprints) is still valid for this view.
+    pub fn touched(&self, id: ObjId) -> bool {
+        self.written.contains_key(&id) || self.born.contains(&id)
+    }
+
+    /// The layer's written cells in first-write order: `(object, field
+    /// slot, value at layer-open time)`, one entry per cell. The
+    /// divergence minimizer probes subsets of exactly these cells.
+    pub fn cells(&self) -> &[(ObjId, usize, &'h Value)] {
+        &self.cells
     }
 }
 
@@ -1254,25 +1236,24 @@ mod tests {
     }
 
     #[test]
-    fn journal_innermost_reverted_detects_nil_net_effect() {
+    fn asof_view_reverted_detects_nil_net_effect() {
         let mut h = heap();
         let a = alloc_node(&mut h);
         h.root(a);
-        assert!(h.journal_innermost_reverted(), "no layer open");
         h.push_journal();
-        assert!(h.journal_innermost_reverted(), "no writes yet");
+        assert!(h.asof_innermost().unwrap().reverted(), "no writes yet");
         h.set_field(a, "value", Value::Int(5)).unwrap();
-        assert!(!h.journal_innermost_reverted());
+        assert!(!h.asof_innermost().unwrap().reverted());
         h.set_field(a, "value", Value::Int(0)).unwrap();
         assert!(
-            h.journal_innermost_reverted(),
+            h.asof_innermost().unwrap().reverted(),
             "back to the layer-open value"
         );
         h.commit_journal();
     }
 
     #[test]
-    fn journal_innermost_reverted_is_float_bit_exact() {
+    fn asof_view_reverted_is_float_bit_exact() {
         let mut rb = RegistryBuilder::new(Profile::java());
         rb.class("F", |c| {
             c.field("x", Value::Float(0.0));
@@ -1285,28 +1266,58 @@ mod tests {
         h.set_field(a, "x", Value::Float(-0.0)).unwrap();
         // -0.0 == 0.0 under PartialEq, but the canonical trace compares
         // float bits — the fast path must agree with the trace.
-        assert!(!h.journal_innermost_reverted());
+        assert!(!h.asof_innermost().unwrap().reverted());
         h.set_field(a, "x", Value::Float(0.0)).unwrap();
-        assert!(h.journal_innermost_reverted());
+        assert!(h.asof_innermost().unwrap().reverted());
         h.commit_journal();
     }
 
     #[test]
-    fn journal_innermost_touched_is_writes_plus_births() {
+    fn asof_view_touched_is_writes_plus_births() {
         let mut h = heap();
         let a = alloc_node(&mut h);
         let b = alloc_node(&mut h);
         h.root(a);
         h.root(b);
-        assert!(h.journal_innermost_touched().is_empty(), "no layer open");
         h.push_journal();
         h.set_field(a, "value", Value::Int(1)).unwrap();
         let c = alloc_node(&mut h);
-        let touched = h.journal_innermost_touched();
-        assert!(touched.contains(&a), "written object");
-        assert!(touched.contains(&c), "layer-born object");
-        assert!(!touched.contains(&b), "untouched object stays clean");
+        let view = h.asof_innermost().unwrap();
+        assert!(view.touched(a), "written object");
+        assert!(view.touched(c), "layer-born object");
+        assert!(!view.touched(b), "untouched object stays clean");
         h.commit_journal();
+    }
+
+    #[test]
+    fn asof_view_cells_collapse_first_write_wins() {
+        let mut h = heap();
+        let a = alloc_node(&mut h);
+        let b = alloc_node(&mut h);
+        h.root(a);
+        h.root(b);
+        h.push_journal(); // outer
+        h.set_field(b, "value", Value::Int(7)).unwrap();
+        h.push_journal(); // inner
+        h.set_field(a, "value", Value::Int(1)).unwrap();
+        h.set_field(b, "value", Value::Int(2)).unwrap();
+        h.set_field(a, "value", Value::Int(3)).unwrap();
+        h.set_field(a, "next", Value::Ref(b)).unwrap();
+        let view = h.asof_innermost().unwrap();
+        let cells: Vec<(ObjId, usize, Value)> = view
+            .cells()
+            .iter()
+            .map(|&(id, slot, v)| (id, slot, v.clone()))
+            .collect();
+        assert_eq!(
+            cells,
+            vec![
+                (a, 1, Value::Int(0)),
+                (b, 1, Value::Int(7)),
+                (a, 0, Value::Null),
+            ],
+            "one entry per cell, first-write order, inner-layer-open values"
+        );
     }
 
     #[test]

@@ -17,15 +17,17 @@
 //! overlay). A [`FingerprintCache`] memoizes each object's *local* hash
 //! (class + leaf field values + reference-slot markers) and its outgoing
 //! references, so repeated walks over an unchanged heap touch no heap
-//! storage at all. Staleness is managed by the caller through
-//! [`atomask_mor::Heap::mutation_epoch`] (drop the cache when the epoch
-//! moved) and per-walk dirty sets (objects the innermost journal layer
-//! touched bypass the cache entirely — see
-//! [`atomask_mor::Heap::journal_innermost_touched`]).
+//! storage at all. The cache keeps itself valid: it remembers the
+//! [`GraphSource::epoch`] it was filled at and empties itself when a walk
+//! sees the epoch moved, and it neither reads nor stores the objects a
+//! source reports through [`GraphSource::differs`] (for an as-of view,
+//! the objects its journal layer touched — see
+//! [`atomask_mor::AsOfHeap::touched`]).
 
 use crate::trace::GraphSource;
 use atomask_mor::{ObjId, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Memoized per-object walk data: everything a fingerprint walk needs to
 /// know about an object without calling [`GraphSource::node`].
@@ -36,29 +38,27 @@ struct CachedNode {
     /// reference *targets* — object ids are not canonical; sharing is
     /// folded in by the walk via visit indices.
     local: u64,
-    /// Reference targets in slot order (the walk recurses into these).
-    refs: Vec<ObjId>,
+    /// Reference targets in slot order (the walk recurses into these),
+    /// shared so a cache hit copies no vector.
+    refs: Rc<[ObjId]>,
 }
 
 /// A reusable memo table for [`graph_fingerprint`] walks.
 ///
-/// The cache is keyed by [`ObjId`] and is only valid for the heap (and
-/// mutation epoch) it was filled against; callers are responsible for
-/// clearing it when [`atomask_mor::Heap::mutation_epoch`] changes.
+/// The cache is keyed by [`ObjId`] and belongs to one heap: its entries
+/// describe that heap at the [`GraphSource::epoch`] they were filled at,
+/// and a walk at any other epoch drops them all first.
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintCache {
     nodes: HashMap<ObjId, CachedNode>,
+    /// The source epoch `nodes` was filled at.
+    epoch: Option<u64>,
 }
 
 impl FingerprintCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops every memoized node (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.nodes.clear();
     }
 
     /// Number of memoized objects.
@@ -130,16 +130,15 @@ fn local_node(class: atomask_mor::ClassId, fields: &[Value]) -> CachedNode {
             }
         };
     }
-    CachedNode { local, refs }
+    CachedNode {
+        local,
+        refs: refs.into(),
+    }
 }
 
 struct Walker<'a, S> {
     source: &'a S,
     cache: &'a mut FingerprintCache,
-    /// Objects whose cache entries must be neither read nor written —
-    /// their state in `source` differs from the heap the cache was filled
-    /// against (journaled writes / layer births).
-    dirty: &'a HashSet<ObjId>,
     visited: HashMap<ObjId, usize>,
     acc: u64,
 }
@@ -150,13 +149,9 @@ impl<S: GraphSource> Walker<'_, S> {
             self.acc = mix(mix(self.acc, TAG_BACK), idx as u64);
             return;
         }
-        let clean = !self.dirty.contains(&id);
-        let node = if clean {
-            self.cache.nodes.get(&id).cloned()
-        } else {
-            None
-        };
-        let node = match node {
+        let clean = !self.source.differs(id);
+        let cached = self.cache.nodes.get(&id).filter(|_| clean).cloned();
+        let node = match cached {
             Some(n) => n,
             None => {
                 let Some((class, fields)) = self.source.node(id) else {
@@ -173,7 +168,7 @@ impl<S: GraphSource> Walker<'_, S> {
         let idx = self.visited.len();
         self.visited.insert(id, idx);
         self.acc = mix(self.acc, node.local);
-        for target in node.refs {
+        for &target in node.refs.iter() {
             self.visit_ref(target);
         }
     }
@@ -184,21 +179,24 @@ impl<S: GraphSource> Walker<'_, S> {
 /// [`crate::Snapshot::of_source`] would capture from the same source and
 /// roots.
 ///
-/// `cache` memoizes per-object data across walks over the *same* heap
-/// state; `dirty` names the objects for which `source` disagrees with
-/// that heap state (journaled writes and layer-born objects), which are
-/// always re-read from `source` and never stored. Pass an empty set when
-/// walking the live heap the cache belongs to.
+/// `cache` memoizes per-object data across walks of one heap, through the
+/// live heap itself or any as-of view of it: it is emptied first when
+/// `source` is at a different epoch than the cache was filled at, and
+/// objects `source` [differs](GraphSource::differs) on are always re-read
+/// and never stored.
 pub fn graph_fingerprint<S: GraphSource>(
     source: &S,
     roots: &[ObjId],
     cache: &mut FingerprintCache,
-    dirty: &HashSet<ObjId>,
 ) -> u64 {
+    let epoch = source.epoch();
+    if cache.epoch != Some(epoch) {
+        cache.nodes.clear();
+        cache.epoch = Some(epoch);
+    }
     let mut walker = Walker {
         source,
         cache,
-        dirty,
         visited: HashMap::new(),
         acc: 0x243f_6a88_85a3_08d3, // arbitrary non-zero seed
     };
@@ -216,7 +214,7 @@ pub fn graph_fingerprint<S: GraphSource>(
 
 /// One-shot fingerprint with a throwaway cache (tests and benches).
 pub fn fingerprint_of_roots<S: GraphSource>(source: &S, roots: &[ObjId]) -> u64 {
-    graph_fingerprint(source, roots, &mut FingerprintCache::new(), &HashSet::new())
+    graph_fingerprint(source, roots, &mut FingerprintCache::new())
 }
 
 #[cfg(test)]
@@ -362,16 +360,15 @@ mod tests {
         let b = node(&mut vm, 2);
         vm.heap_mut().set_field(a, "next", Value::Ref(b)).unwrap();
         let mut cache = FingerprintCache::new();
-        let empty = HashSet::new();
-        let first = graph_fingerprint(vm.heap(), &[a], &mut cache, &empty);
+        let first = graph_fingerprint(vm.heap(), &[a], &mut cache);
         assert_eq!(cache.len(), 2, "both nodes memoized");
-        let second = graph_fingerprint(vm.heap(), &[a], &mut cache, &empty);
+        let second = graph_fingerprint(vm.heap(), &[a], &mut cache);
         assert_eq!(first, second);
         assert_eq!(first, fingerprint_of_roots(vm.heap(), &[a]));
     }
 
     #[test]
-    fn asof_walk_with_dirty_set_matches_eager_before_fingerprint() {
+    fn asof_walk_on_a_live_filled_cache_matches_eager_before_fingerprint() {
         let mut vm = Vm::new(registry());
         let a = node(&mut vm, 1);
         let b = node(&mut vm, 2);
@@ -379,62 +376,47 @@ mod tests {
         let eager_before = fingerprint_of_roots(vm.heap(), &[a]);
 
         vm.heap_mut().push_journal();
-        let mut cache = FingerprintCache::new();
-        let empty = HashSet::new();
-        // Fill the cache against the live (post-open, pre-write) heap.
-        graph_fingerprint(vm.heap(), &[a], &mut cache, &empty);
-
         let c = node(&mut vm, 3);
         vm.heap_mut().set_field(a, "next", Value::Ref(c)).unwrap();
         vm.heap_mut().set_field(b, "value", Value::Int(9)).unwrap();
 
-        // The live heap changed, so the cache is stale for the live view —
-        // but the *as-of* view agrees with the cache except on touched
-        // objects, which the dirty set routes around.
-        let dirty = vm.heap().journal_innermost_touched();
+        // The wrapper's order: the after-walk fills the cache against the
+        // live heap, then the before-walk over the as-of view reuses it for
+        // every object the layer did not touch.
+        let mut cache = FingerprintCache::new();
+        let after = graph_fingerprint(vm.heap(), &[a], &mut cache);
+        assert_eq!(cache.len(), 2, "a and c memoized from the live heap");
         let asof = vm.heap().asof_innermost().unwrap();
-        let lazy_before = graph_fingerprint(&asof, &[a], &mut cache, &dirty);
+        let lazy_before = graph_fingerprint(&asof, &[a], &mut cache);
         assert_eq!(lazy_before, eager_before);
-
-        // Sanity: the live after-graph differs.
-        vm.heap_mut().commit_journal();
-        assert_ne!(fingerprint_of_roots(vm.heap(), &[a]), eager_before);
+        assert_ne!(after, eager_before);
     }
 
     #[test]
-    fn checkpoint_restore_bumps_epoch_and_reseeded_cache_agrees() {
+    fn cache_empties_itself_when_the_epoch_moves() {
         // Checkpoint-resume sweeps restore whole heaps between runs
-        // (`Vm::restore`). The fingerprint-cache protocol — drop the cache
-        // whenever `Heap::mutation_epoch` moved — must treat a restore as
-        // a mutation, or a cache filled against the pre-restore heap would
-        // silently poison post-restore walks.
+        // (`Vm::restore`). A restore moves the mutation epoch, so a cache
+        // filled against the pre-restore heap drops itself instead of
+        // poisoning post-restore walks.
         let mut vm = Vm::new(registry());
         let a = node(&mut vm, 1);
         let b = node(&mut vm, 2);
         vm.heap_mut().set_field(a, "next", Value::Ref(b)).unwrap();
 
         let mut cache = FingerprintCache::new();
-        let empty = HashSet::new();
-        let fp_before = graph_fingerprint(vm.heap(), &[a], &mut cache, &empty);
+        let fp_before = graph_fingerprint(vm.heap(), &[a], &mut cache);
         let cp = vm.checkpoint();
-        let epoch_at_cp = vm.heap().mutation_epoch();
 
         // Diverge: rewire the graph so the cached entries go stale.
         vm.heap_mut().set_field(a, "next", Value::Null).unwrap();
         vm.heap_mut().set_field(b, "value", Value::Int(9)).unwrap();
-        assert_ne!(fingerprint_of_roots(vm.heap(), &[a]), fp_before);
+        let fp_diverged = graph_fingerprint(vm.heap(), &[a], &mut cache);
+        assert_ne!(fp_diverged, fp_before);
+        assert_eq!(fp_diverged, fingerprint_of_roots(vm.heap(), &[a]));
+        assert_eq!(cache.len(), 1, "only a is reachable now");
 
         vm.restore(&cp);
-        assert_ne!(
-            vm.heap().mutation_epoch(),
-            epoch_at_cp,
-            "restore must advance the epoch so epoch-keyed caches drop"
-        );
-
-        // Follow the protocol: epoch moved, so reseed the cache. The
-        // restored heap then fingerprints identically to the original.
-        cache.clear();
-        let fp_after = graph_fingerprint(vm.heap(), &[a], &mut cache, &empty);
+        let fp_after = graph_fingerprint(vm.heap(), &[a], &mut cache);
         assert_eq!(fp_after, fp_before);
         assert_eq!(cache.len(), 2, "walk re-memoized the restored objects");
     }

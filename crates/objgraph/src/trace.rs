@@ -12,13 +12,21 @@ use atomask_mor::{AsOfHeap, ClassId, Heap, ObjId, Value};
 use std::collections::HashMap;
 
 /// Anything a canonical trace can be captured from: a live [`Heap`] or a
-/// reconstructed historical view of one ([`AsOfHeap`]). Implementations
-/// return the class and field values of a live object, or `None` for a
-/// dangling reference.
+/// reconstructed historical view of one ([`AsOfHeap`]).
 pub trait GraphSource {
     /// The object's class and field values, or `None` if it is not live
-    /// in this view.
+    /// in this view (a dangling reference).
     fn node(&self, id: ObjId) -> Option<(ClassId, Vec<Value>)>;
+
+    /// The [`Heap::mutation_epoch`] of the live heap this source reads.
+    /// Data memoized per object against that heap stays valid while the
+    /// epoch does not move.
+    fn epoch(&self) -> u64;
+
+    /// `true` iff [`GraphSource::node`] of `id` may differ from the live
+    /// heap's object — memoized per-object data must not be read or
+    /// stored for it.
+    fn differs(&self, id: ObjId) -> bool;
 }
 
 impl GraphSource for Heap {
@@ -26,11 +34,27 @@ impl GraphSource for Heap {
         self.get(id)
             .map(|obj| (obj.class_id(), obj.fields().to_vec()))
     }
+
+    fn epoch(&self) -> u64 {
+        self.mutation_epoch()
+    }
+
+    fn differs(&self, _: ObjId) -> bool {
+        false
+    }
 }
 
 impl GraphSource for AsOfHeap<'_> {
     fn node(&self, id: ObjId) -> Option<(ClassId, Vec<Value>)> {
         AsOfHeap::node(self, id)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.heap().mutation_epoch()
+    }
+
+    fn differs(&self, id: ObjId) -> bool {
+        self.touched(id)
     }
 }
 

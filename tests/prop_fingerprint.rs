@@ -1,9 +1,11 @@
-//! Property tests of the incremental graph fingerprints: on randomized
-//! heaps with randomized journaled write sets, the fingerprint comparison
-//! the injection wrapper performs on its exception path must reach the
-//! same verdict as the full structural diff ([`Snapshot`] equality), and
-//! dirty-set invalidation must make a stale cache indistinguishable from
-//! a cold recomputation.
+//! Property tests of the incremental graph fingerprints and the as-of
+//! view they walk: on randomized heaps with randomized nested journal
+//! layers, the view of the innermost layer must reproduce the eager
+//! before-snapshot, its cells and revert check must agree with the writes
+//! performed, the fingerprint comparison the injection wrapper performs on
+//! its exception path must reach the same verdict as the full structural
+//! diff ([`Snapshot`] equality), and a cache filled before writes must be
+//! indistinguishable from a cold recomputation after them.
 
 use atomask_suite::{
     fingerprint_of_roots, graph_fingerprint, FingerprintCache, ObjId, Profile, RegistryBuilder,
@@ -11,6 +13,9 @@ use atomask_suite::{
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// Field slots of `Node`, in schema order.
+const FIELDS: [&str; 3] = ["left", "right", "tag"];
 
 /// Construction ops for heaps of `Node {left, right, tag}` (indices are
 /// taken modulo the live node count).
@@ -47,84 +52,145 @@ fn node_vm() -> Vm {
     Vm::new(rb.build())
 }
 
-fn apply(vm: &mut Vm, nodes: &mut Vec<ObjId>, ops: &[Op]) {
+/// Writes `value` into `obj.field`, logging `(obj, slot, old value)`.
+fn write(vm: &mut Vm, log: &mut Vec<(ObjId, usize, Value)>, obj: ObjId, slot: usize, value: Value) {
+    let old = vm.heap().field_by_slot(obj, slot).expect("live node");
+    vm.heap_mut().set_field(obj, FIELDS[slot], value).unwrap();
+    log.push((obj, slot, old));
+}
+
+/// Applies `ops`, returning every field write as `(object, slot, value it
+/// replaced)` in write order.
+fn apply(vm: &mut Vm, nodes: &mut Vec<ObjId>, ops: &[Op]) -> Vec<(ObjId, usize, Value)> {
     const FLOATS: [f64; 4] = [0.0, -0.0, 1.5, f64::NAN];
+    let mut log = Vec::new();
     for op in ops {
+        let pick = |i: &usize| nodes[i % nodes.len()];
         match op {
             Op::Alloc(tag) => {
                 let id = vm.alloc_raw("Node");
                 vm.root(id);
-                vm.heap_mut()
-                    .set_field(id, "tag", Value::Int(*tag))
-                    .unwrap();
+                write(vm, &mut log, id, 2, Value::Int(*tag));
                 nodes.push(id);
             }
             Op::LinkLeft(a, b) if !nodes.is_empty() => {
-                let (x, y) = (nodes[a % nodes.len()], nodes[b % nodes.len()]);
-                vm.heap_mut().set_field(x, "left", Value::Ref(y)).unwrap();
+                let (x, y) = (pick(a), pick(b));
+                write(vm, &mut log, x, 0, Value::Ref(y));
             }
             Op::LinkRight(a, b) if !nodes.is_empty() => {
-                let (x, y) = (nodes[a % nodes.len()], nodes[b % nodes.len()]);
-                vm.heap_mut().set_field(x, "right", Value::Ref(y)).unwrap();
+                let (x, y) = (pick(a), pick(b));
+                write(vm, &mut log, x, 1, Value::Ref(y));
             }
-            Op::CutLeft(a) if !nodes.is_empty() => {
-                let x = nodes[a % nodes.len()];
-                vm.heap_mut().set_field(x, "left", Value::Null).unwrap();
-            }
-            Op::Retag(a, t) if !nodes.is_empty() => {
-                let x = nodes[a % nodes.len()];
-                vm.heap_mut().set_field(x, "tag", Value::Int(*t)).unwrap();
-            }
+            Op::CutLeft(a) if !nodes.is_empty() => write(vm, &mut log, pick(a), 0, Value::Null),
+            Op::Retag(a, t) if !nodes.is_empty() => write(vm, &mut log, pick(a), 2, Value::Int(*t)),
             Op::RetagFloat(a, f) if !nodes.is_empty() => {
-                let x = nodes[a % nodes.len()];
-                vm.heap_mut()
-                    .set_field(x, "tag", Value::Float(FLOATS[*f as usize % FLOATS.len()]))
-                    .unwrap();
+                let v = Value::Float(FLOATS[*f as usize % FLOATS.len()]);
+                write(vm, &mut log, pick(a), 2, v)
             }
             _ => {}
         }
     }
+    log
+}
+
+/// Collapses a write log to its first write per cell, in first-write
+/// order — the oracle for `AsOfHeap::cells`.
+fn first_writes(log: &[(ObjId, usize, Value)]) -> Vec<(ObjId, usize, Value)> {
+    let mut seen = HashSet::new();
+    log.iter()
+        .filter(|(obj, slot, _)| seen.insert((*obj, *slot)))
+        .cloned()
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The wrapper's exception-path comparison, end to end: fill the cache
-    /// from the after-state, reconstruct the before-fingerprint over the
-    /// undo log's as-of view with the journal's touched set as the dirty
-    /// set, and the fingerprints agree **iff** the full structural diff
-    /// finds the graphs equal.
+    /// The wrapper's exception path over nested layers. An enclosing layer
+    /// takes `outer` writes; the observed layer opens (the eager
+    /// before-snapshot is taken there), takes `writes`, one inner layer
+    /// committed into it and one aborted, then `tail` writes — and, when
+    /// `restore` is set, writes every cell back to its layer-open value.
+    /// The as-of view of the observed layer must reproduce the eager
+    /// before-snapshot and fingerprint exactly; its cells must be exactly
+    /// the cells first written under the layer (the aborted layer's writes
+    /// were rolled back and are not among them); `reverted()` must imply
+    /// equal before and after snapshots; and the fingerprints, with the
+    /// cache filled from the after-state, agree **iff** the full structural
+    /// diff finds the graphs equal.
     #[test]
     fn fingerprint_verdict_matches_structural_diff(
         build in prop::collection::vec(op_strategy(), 1..30),
-        writes in prop::collection::vec(op_strategy(), 0..20),
+        outer in prop::collection::vec(op_strategy(), 0..8),
+        writes in prop::collection::vec(op_strategy(), 0..12),
+        committed in prop::collection::vec(op_strategy(), 0..8),
+        aborted in prop::collection::vec(op_strategy(), 0..8),
+        tail in prop::collection::vec(op_strategy(), 0..8),
+        restore in any::<bool>(),
     ) {
         let mut vm = node_vm();
         let mut nodes = Vec::new();
         apply(&mut vm, &mut nodes, &build);
         prop_assume!(!nodes.is_empty());
         let root = nodes[0];
+
+        vm.heap_mut().push_journal(); // enclosing layer
+        apply(&mut vm, &mut nodes, &outer);
         let before_snapshot = Snapshot::of(vm.heap(), root);
         let before_cold_fp = fingerprint_of_roots(vm.heap(), &[root]);
 
+        vm.heap_mut().push_journal(); // the observed layer
+        let mut log = apply(&mut vm, &mut nodes, &writes);
         vm.heap_mut().push_journal();
-        apply(&mut vm, &mut nodes, &writes);
+        log.extend(apply(&mut vm, &mut nodes, &committed));
+        vm.heap_mut().commit_journal();
+        vm.heap_mut().push_journal();
+        apply(&mut vm, &mut nodes, &aborted);
+        vm.heap_mut().abort_journal();
+        log.extend(apply(&mut vm, &mut nodes, &tail));
+        let expected_cells = first_writes(&log);
+        if restore {
+            for (obj, slot, open_value) in expected_cells.iter().rev() {
+                vm.heap_mut()
+                    .set_field(*obj, FIELDS[*slot], open_value.clone())
+                    .unwrap();
+            }
+        }
 
-        // The hook's stage-2 sequence.
+        // The hook's stage-2 sequence: the after-walk fills the cache from
+        // the live heap, the before-walk over the view reuses it.
         let mut cache = FingerprintCache::new();
-        let after_fp =
-            graph_fingerprint(vm.heap(), &[root], &mut cache, &HashSet::new());
-        let dirty = vm.heap().journal_innermost_touched();
-        let asof = vm.heap().asof_innermost().expect("journal layer is open");
-        let reconstructed_before_fp =
-            graph_fingerprint(&asof, &[root], &mut cache, &dirty);
+        let after_fp = graph_fingerprint(vm.heap(), &[root], &mut cache);
+        let view = vm.heap().asof_innermost().expect("journal layer is open");
+        let reconstructed_before_fp = graph_fingerprint(&view, &[root], &mut cache);
 
         // The before-reconstruction is exact, not merely verdict-equal.
         prop_assert_eq!(reconstructed_before_fp, before_cold_fp);
+        prop_assert_eq!(Snapshot::of_source(&view, &[root]), before_snapshot.clone());
 
-        // Verdict equivalence against the full structural diff.
+        // One entry per cell first written under the layer, first-write
+        // order, holding the cell's layer-open value (bit-exact: NaN).
+        let cells = view.cells();
+        prop_assert_eq!(cells.len(), expected_cells.len());
+        for (&(obj, slot, open_value), (eobj, eslot, evalue)) in cells.iter().zip(&expected_cells) {
+            prop_assert!(
+                obj == *eobj && slot == *eslot && open_value.bit_eq(evalue),
+                "cell {:?} != expected {:?}",
+                (obj, slot, open_value),
+                (eobj, eslot, evalue)
+            );
+        }
+
         let after_snapshot = Snapshot::of(vm.heap(), root);
         let structurally_equal = before_snapshot == after_snapshot;
+        if restore {
+            prop_assert!(view.reverted(), "every cell was written back");
+        }
+        if view.reverted() {
+            prop_assert!(structurally_equal, "a reverted layer left the graph changed");
+        }
+
+        // Verdict equivalence against the full structural diff.
         let fingerprints_equal = reconstructed_before_fp == after_fp;
         prop_assert_eq!(
             fingerprints_equal,
@@ -134,13 +200,14 @@ proptest! {
         );
 
         vm.heap_mut().abort_journal();
+        vm.heap_mut().abort_journal();
     }
 
-    /// Dirty-set invalidation is exact: a cache filled before the writes,
-    /// then reused with the journal's touched set, yields the same
-    /// fingerprint as a cold walk of the mutated heap.
+    /// A cache filled before the writes and reused after them equals a
+    /// cold walk, for the live heap and for the as-of view: the writes move
+    /// the heap's mutation epoch, so the cache drops its stale entries.
     #[test]
-    fn stale_cache_with_dirty_set_equals_cold_recomputation(
+    fn stale_cache_equals_cold_recomputation(
         build in prop::collection::vec(op_strategy(), 1..30),
         writes in prop::collection::vec(op_strategy(), 0..20),
     ) {
@@ -150,14 +217,15 @@ proptest! {
         prop_assume!(!nodes.is_empty());
         let root = nodes[0];
         let mut cache = FingerprintCache::new();
-        graph_fingerprint(vm.heap(), &[root], &mut cache, &HashSet::new());
+        let before = graph_fingerprint(vm.heap(), &[root], &mut cache);
 
         vm.heap_mut().push_journal();
         apply(&mut vm, &mut nodes, &writes);
-        let dirty = vm.heap().journal_innermost_touched();
-        let warm = graph_fingerprint(vm.heap(), &[root], &mut cache, &dirty);
+        let warm = graph_fingerprint(vm.heap(), &[root], &mut cache);
         let cold = fingerprint_of_roots(vm.heap(), &[root]);
         prop_assert_eq!(warm, cold);
+        let view = vm.heap().asof_innermost().expect("journal layer is open");
+        prop_assert_eq!(graph_fingerprint(&view, &[root], &mut cache), before);
         vm.heap_mut().commit_journal();
     }
 }
