@@ -270,8 +270,8 @@ impl InjectionHook {
                     // are copied out of the view first.
                     let cells = view
                         .cells()
-                        .iter()
-                        .map(|&(obj, slot, open_value)| (obj, slot, open_value.clone()))
+                        .into_iter()
+                        .map(|(obj, slot, open_value)| (obj, slot, open_value.clone()))
                         .collect();
                     self.divergence = Some(crate::replay::minimize_divergence(
                         vm, site, exc.chain, diff, &before, &roots, cells,

@@ -77,21 +77,24 @@ pub struct HeapStats {
 
 /// The write journal: one flat undo log shared by every open layer.
 ///
-/// A *layer* is a pair of watermarks into the shared `writes`/`allocs`
-/// logs; the entries recorded since the innermost watermark belong to the
+/// A *layer* is a writes watermark into the shared `writes` log plus an
+/// id watermark: the object-table length when the layer was pushed. The
+/// entries recorded since the innermost writes watermark belong to the
 /// innermost layer. Committing a layer therefore merges its entries into
-/// the enclosing layer for free (pop the watermark, keep the entries),
+/// the enclosing layer for free (pop the watermarks, keep the entries),
 /// instead of moving `O(entries)` values per nesting level as a
 /// per-layer-vector representation would.
+///
+/// Ids are dense and never reused, so an object was *born* under a layer
+/// iff its raw id exceeds the layer's id watermark — an index comparison,
+/// with no allocation log to keep.
 #[derive(Debug, Default)]
 struct JournalLog {
     /// `(object, field slot, previous value)` in write order, across all
     /// open layers.
     writes: Vec<(ObjId, usize, Value)>,
-    /// Objects allocated while any layer was open, in allocation order.
-    allocs: Vec<ObjId>,
-    /// Open layers, outermost first: `(writes watermark, allocs
-    /// watermark)` at the moment the layer was pushed.
+    /// Open layers, outermost first: `(writes watermark, id watermark)`
+    /// at the moment the layer was pushed.
     layers: Vec<(usize, usize)>,
 }
 
@@ -195,7 +198,6 @@ impl Heap {
         self.live = 0;
         self.stats = HeapStats::default();
         self.journal.writes.clear();
-        self.journal.allocs.clear();
         self.journal.layers.clear();
         self.pending_garbage.clear();
         self.mutations += 1;
@@ -235,7 +237,6 @@ impl Heap {
         self.live = ckpt.live;
         self.stats = ckpt.stats;
         self.journal.writes.clear();
-        self.journal.allocs.clear();
         self.journal.layers.clear();
         self.pending_garbage.clear();
         self.mutations += 1;
@@ -283,9 +284,6 @@ impl Heap {
         self.live += 1;
         self.stats.allocated += 1;
         self.mutations += 1;
-        if !self.journal.layers.is_empty() {
-            self.journal.allocs.push(id);
-        }
         self.emit(|| TraceEvent::HeapAlloc {
             obj: id,
             class: class.id,
@@ -631,7 +629,7 @@ impl Heap {
     pub fn push_journal(&mut self) {
         self.journal
             .layers
-            .push((self.journal.writes.len(), self.journal.allocs.len()));
+            .push((self.journal.writes.len(), self.objects.len()));
         self.emit(|| TraceEvent::JournalPush {
             depth: self.journal.layers.len(),
         });
@@ -647,7 +645,12 @@ impl Heap {
         self.journal
             .layers
             .last()
-            .map(|&(w, a)| (self.journal.writes.len() - w, self.journal.allocs.len() - a))
+            .map(|&(w, born_from)| {
+                (
+                    self.journal.writes.len() - w,
+                    self.objects.len() - born_from,
+                )
+            })
             .unwrap_or((0, 0))
     }
 
@@ -671,7 +674,6 @@ impl Heap {
             // Outermost layer closed: nothing can roll these entries back
             // any more, so release the log and the deferred garbage.
             self.journal.writes.clear();
-            self.journal.allocs.clear();
             self.release_pending();
         }
     }
@@ -685,7 +687,7 @@ impl Heap {
     ///
     /// Panics if no layer is open.
     pub fn abort_journal(&mut self) -> usize {
-        let (writes_mark, allocs_mark) = self
+        let (writes_mark, _) = self
             .journal
             .layers
             .pop()
@@ -697,7 +699,6 @@ impl Heap {
         });
         let rollback: Vec<(ObjId, usize, Value)> =
             self.journal.writes.drain(writes_mark..).collect();
-        self.journal.allocs.truncate(allocs_mark);
         if undone > 0 {
             self.mutations += 1;
         }
@@ -734,33 +735,29 @@ impl Heap {
     /// This is the one place the layer's write log is collapsed: each
     /// written cell keeps its *first* recorded `old` value — its value at
     /// layer-open time — and later entries for the same cell are
-    /// intra-layer noise. Objects allocated under the layer are absent
-    /// from the view. [`AsOfHeap::node`], [`AsOfHeap::reverted`],
-    /// [`AsOfHeap::touched`] and [`AsOfHeap::cells`] all answer from that
-    /// one collapse, so a caller builds one view per question it asks of
-    /// the layer, not one walk of the log per query.
+    /// intra-layer noise. Objects allocated under the layer (raw id past
+    /// the layer's id watermark) are absent from the view, and so are
+    /// their cells: the collapse keeps only cells of objects that existed
+    /// when the layer opened. [`AsOfHeap::node`], [`AsOfHeap::reverted`]
+    /// and [`AsOfHeap::touched`] all answer from that one collapse, so a
+    /// caller builds one view per question it asks of the layer, not one
+    /// walk of the log per query. [`AsOfHeap::cells`], which also lists
+    /// the layer-born cells, re-collapses the log when called.
     ///
     /// This is the paper's §6.2 capture optimization turned around: the
     /// detection wrapper's "deep copy before the call" becomes an
     /// `O(writes)` overlay over the live heap instead of an `O(graph)`
     /// eager snapshot.
     pub fn asof_innermost(&self) -> Option<AsOfHeap<'_>> {
-        let &(writes_mark, allocs_mark) = self.journal.layers.last()?;
-        let mut cells: Vec<(ObjId, usize, &Value)> = Vec::new();
-        let mut written: HashMap<ObjId, Vec<usize>> = HashMap::new();
-        for (id, slot, old) in &self.journal.writes[writes_mark..] {
-            let seen = written.entry(*id).or_default();
-            if seen.iter().all(|&i| cells[i].1 != *slot) {
-                seen.push(cells.len());
-                cells.push((*id, *slot, old));
-            }
-        }
-        let born = self.journal.allocs[allocs_mark..].iter().copied().collect();
+        let &(writes_mark, born_from) = self.journal.layers.last()?;
+        let writes = &self.journal.writes[writes_mark..];
+        let (cells, written) = first_writes(writes, |id| !born_under(id, born_from));
         Some(AsOfHeap {
             heap: self,
+            writes,
+            born_from,
             cells,
             written,
-            born,
         })
     }
 
@@ -805,18 +802,50 @@ impl Heap {
     }
 }
 
+/// `true` iff `id` was allocated after the object table held `born_from`
+/// objects (ids are dense from 1 and never reused).
+#[inline]
+fn born_under(id: ObjId, born_from: usize) -> bool {
+    id.into_raw() > born_from as u64
+}
+
+/// A layer-open cell: `(object, field slot, value at layer-open time)`.
+type OpenCell<'h> = (ObjId, usize, &'h Value);
+
+/// Collapses a layer's write log to its first write per cell, in
+/// first-write order, over the objects `keep` admits; also returns the
+/// indices of each kept object's cells.
+fn first_writes(
+    writes: &[(ObjId, usize, Value)],
+    keep: impl Fn(ObjId) -> bool,
+) -> (Vec<OpenCell<'_>>, HashMap<ObjId, Vec<usize>>) {
+    let mut cells: Vec<OpenCell<'_>> = Vec::new();
+    let mut written: HashMap<ObjId, Vec<usize>> = HashMap::new();
+    for (id, slot, old) in writes.iter().filter(|(id, _, _)| keep(*id)) {
+        let seen = written.entry(*id).or_default();
+        if seen.iter().all(|&i| cells[i].1 != *slot) {
+            seen.push(cells.len());
+            cells.push((*id, *slot, old));
+        }
+    }
+    (cells, written)
+}
+
 /// A read-only view of a [`Heap`] as of the innermost open journal layer
 /// (see [`Heap::asof_innermost`]).
 #[derive(Debug)]
 pub struct AsOfHeap<'h> {
     heap: &'h Heap,
-    /// `(object, field slot, value at layer-open time)` per written cell,
-    /// in first-write order.
-    cells: Vec<(ObjId, usize, &'h Value)>,
-    /// Indices into `cells` of each written object's cells.
+    /// The layer's slice of the write log.
+    writes: &'h [(ObjId, usize, Value)],
+    /// The layer's id watermark: objects with a larger raw id were born
+    /// under the layer and are absent from the view.
+    born_from: usize,
+    /// First-write collapse of `writes` over the objects that existed at
+    /// layer-open time.
+    cells: Vec<OpenCell<'h>>,
+    /// Indices into `cells` of each written pre-existing object's cells.
     written: HashMap<ObjId, Vec<usize>>,
-    /// Objects allocated under the layer — absent from the view.
-    born: HashSet<ObjId>,
 }
 
 impl<'h> AsOfHeap<'h> {
@@ -833,7 +862,7 @@ impl<'h> AsOfHeap<'h> {
     /// [`Heap::reclaim`] defers every release until the outermost layer
     /// closes — so reading through the live heap plus the overlay is exact.
     pub fn node(&self, id: ObjId) -> Option<(ClassId, Vec<Value>)> {
-        if self.born.contains(&id) {
+        if born_under(id, self.born_from) {
             return None;
         }
         let obj = self.heap.get(id)?;
@@ -845,21 +874,25 @@ impl<'h> AsOfHeap<'h> {
         Some((obj.class_id(), fields))
     }
 
-    /// Returns `true` iff every cell the layer wrote currently holds
-    /// **exactly** its layer-open value (bit-level float comparison,
-    /// matching canonical-trace equality), i.e. the layer's net effect on
-    /// pre-existing objects is nil. `O(written cells)`.
+    /// Returns `true` iff every cell of a pre-existing object the layer
+    /// wrote currently holds **exactly** its layer-open value (bit-level
+    /// float comparison, matching canonical-trace equality), i.e. the
+    /// layer's net effect on pre-existing objects is nil. `O(written
+    /// pre-existing cells)`; writes to layer-born objects (constructor
+    /// initialization, mostly) are not looked at.
     ///
     /// When this holds, the object graph reachable from any root that
     /// existed at layer-open time is structurally identical to its
     /// layer-open state, so a before/after comparison can conclude
     /// *atomic* without walking the graph at all. Objects **allocated**
-    /// under the layer cannot break this: layer-open field values can only
-    /// reference objects that already existed (ids are monotonic and never
-    /// reused), so if every written cell reads its layer-open value, no
-    /// cell reachable from a pre-existing root references a layer-born
-    /// object. [`Heap::reclaim`] releases nothing while a layer is open, so
-    /// no pre-existing object can have vanished either.
+    /// under the layer cannot break this, whatever their fields hold:
+    /// layer-open field values can only reference objects that already
+    /// existed (ids are monotonic and never reused), so if every written
+    /// pre-existing cell reads its layer-open value, no cell reachable
+    /// from a pre-existing root references a layer-born object, and no
+    /// layer-born cell is reachable. [`Heap::reclaim`] releases nothing
+    /// while a layer is open, so no pre-existing object can have vanished
+    /// either.
     pub fn reverted(&self) -> bool {
         self.cells.iter().all(|&(id, slot, open_value)| {
             self.heap
@@ -873,14 +906,16 @@ impl<'h> AsOfHeap<'h> {
     /// data memoized per object against the live heap (structural
     /// fingerprints) is still valid for this view.
     pub fn touched(&self, id: ObjId) -> bool {
-        self.written.contains_key(&id) || self.born.contains(&id)
+        self.written.contains_key(&id) || born_under(id, self.born_from)
     }
 
     /// The layer's written cells in first-write order: `(object, field
-    /// slot, value at layer-open time)`, one entry per cell. The
-    /// divergence minimizer probes subsets of exactly these cells.
-    pub fn cells(&self) -> &[(ObjId, usize, &'h Value)] {
-        &self.cells
+    /// slot, value at layer-open time)`, one entry per cell, layer-born
+    /// objects' cells included. The divergence minimizer probes subsets of
+    /// exactly these cells. Collapses the layer's write log afresh on each
+    /// call — `O(writes)`.
+    pub fn cells(&self) -> Vec<(ObjId, usize, &'h Value)> {
+        first_writes(self.writes, |_| true).0
     }
 }
 
@@ -1300,24 +1335,94 @@ mod tests {
         h.set_field(b, "value", Value::Int(7)).unwrap();
         h.push_journal(); // inner
         h.set_field(a, "value", Value::Int(1)).unwrap();
+        let c = alloc_node(&mut h);
+        h.set_field(c, "value", Value::Int(4)).unwrap();
         h.set_field(b, "value", Value::Int(2)).unwrap();
         h.set_field(a, "value", Value::Int(3)).unwrap();
-        h.set_field(a, "next", Value::Ref(b)).unwrap();
+        h.set_field(c, "value", Value::Int(5)).unwrap();
+        h.set_field(a, "next", Value::Ref(c)).unwrap();
         let view = h.asof_innermost().unwrap();
         let cells: Vec<(ObjId, usize, Value)> = view
             .cells()
-            .iter()
-            .map(|&(id, slot, v)| (id, slot, v.clone()))
+            .into_iter()
+            .map(|(id, slot, v)| (id, slot, v.clone()))
             .collect();
         assert_eq!(
             cells,
             vec![
                 (a, 1, Value::Int(0)),
+                (c, 1, Value::Int(0)),
                 (b, 1, Value::Int(7)),
                 (a, 0, Value::Null),
             ],
-            "one entry per cell, first-write order, inner-layer-open values"
+            "one entry per cell, layer-born cells included, first-write order, \
+             inner-layer-open values"
         );
+    }
+
+    #[test]
+    fn asof_view_reverted_ignores_layer_born_objects() {
+        let mut h = heap();
+        let a = alloc_node(&mut h);
+        h.root(a);
+        h.push_journal();
+        // The layer only allocates and initializes: its net effect on
+        // pre-existing objects is nil, whatever the born objects hold.
+        let b = alloc_node(&mut h);
+        let c = alloc_node(&mut h);
+        h.set_field(b, "value", Value::Int(4)).unwrap();
+        h.set_field(b, "next", Value::Ref(c)).unwrap();
+        h.set_field(c, "next", Value::Ref(a)).unwrap();
+        let view = h.asof_innermost().unwrap();
+        assert!(view.reverted(), "constructor writes are not a net effect");
+        assert!(view.touched(b) && view.touched(c), "born objects");
+        assert!(!view.touched(a), "a was neither written nor born");
+        assert!(view.node(b).is_none() && view.node(c).is_none());
+        h.commit_journal();
+    }
+
+    #[test]
+    fn asof_view_linking_a_born_object_is_not_reverted_until_unlinked() {
+        let mut h = heap();
+        let a = alloc_node(&mut h);
+        h.root(a);
+        h.push_journal();
+        let b = alloc_node(&mut h);
+        h.set_field(b, "value", Value::Int(4)).unwrap();
+        h.set_field(a, "next", Value::Ref(b)).unwrap();
+        assert!(
+            !h.asof_innermost().unwrap().reverted(),
+            "a pre-existing cell now references a born object"
+        );
+        h.set_field(a, "next", Value::Null).unwrap();
+        assert!(
+            h.asof_innermost().unwrap().reverted(),
+            "the pre-existing cell reads its layer-open value again"
+        );
+        h.commit_journal();
+    }
+
+    #[test]
+    fn journal_len_counts_the_layers_allocations() {
+        let mut h = heap();
+        let a = alloc_node(&mut h);
+        h.root(a);
+        h.push_journal(); // outer
+        alloc_node(&mut h);
+        h.push_journal(); // inner
+        assert_eq!(h.journal_len(), (0, 0));
+        let b = alloc_node(&mut h);
+        h.set_field(b, "value", Value::Int(1)).unwrap();
+        h.set_field(a, "next", Value::Ref(b)).unwrap();
+        assert_eq!(h.journal_len(), (2, 1));
+        h.commit_journal();
+        assert_eq!(
+            h.journal_len(),
+            (2, 2),
+            "inner allocations merge into outer"
+        );
+        h.commit_journal();
+        assert_eq!(h.journal_len(), (0, 0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ struct CachedNode {
     /// reference *targets* — object ids are not canonical; sharing is
     /// folded in by the walk via visit indices.
     local: u64,
-    /// Reference targets in slot order (the walk recurses into these),
+    /// Reference targets in slot order (the walk descends into these),
     /// shared so a cache hit copies no vector.
     refs: Rc<[ObjId]>,
 }
@@ -144,32 +144,37 @@ struct Walker<'a, S> {
 }
 
 impl<S: GraphSource> Walker<'_, S> {
-    fn visit_ref(&mut self, id: ObjId) {
-        if let Some(&idx) = self.visited.get(&id) {
-            self.acc = mix(mix(self.acc, TAG_BACK), idx as u64);
-            return;
-        }
-        let clean = !self.source.differs(id);
-        let cached = self.cache.nodes.get(&id).filter(|_| clean).cloned();
-        let node = match cached {
-            Some(n) => n,
-            None => {
-                let Some((class, fields)) = self.source.node(id) else {
-                    self.acc = mix(self.acc, TAG_DANGLING);
-                    return;
-                };
-                let n = local_node(class, &fields);
-                if clean {
-                    self.cache.nodes.insert(id, n.clone());
-                }
-                n
+    /// Folds the graph of `root` into the accumulator in canonical-trace
+    /// order, on an explicit work stack so graph depth never costs thread
+    /// stack. References are pushed in reverse, so they pop in slot order,
+    /// each target's subgraph before its next sibling — the visit order of
+    /// the canonical trace ([`crate::Snapshot`]).
+    fn visit(&mut self, root: ObjId) {
+        let mut pending = vec![root];
+        while let Some(id) = pending.pop() {
+            if let Some(&idx) = self.visited.get(&id) {
+                self.acc = mix(mix(self.acc, TAG_BACK), idx as u64);
+                continue;
             }
-        };
-        let idx = self.visited.len();
-        self.visited.insert(id, idx);
-        self.acc = mix(self.acc, node.local);
-        for &target in node.refs.iter() {
-            self.visit_ref(target);
+            let clean = !self.source.differs(id);
+            let cached = self.cache.nodes.get(&id).filter(|_| clean).cloned();
+            let node = match cached {
+                Some(n) => n,
+                None => {
+                    let Some((class, fields)) = self.source.node(id) else {
+                        self.acc = mix(self.acc, TAG_DANGLING);
+                        continue;
+                    };
+                    let n = local_node(class, &fields);
+                    if clean {
+                        self.cache.nodes.insert(id, n.clone());
+                    }
+                    n
+                }
+            };
+            self.visited.insert(id, self.visited.len());
+            self.acc = mix(self.acc, node.local);
+            pending.extend(node.refs.iter().rev());
         }
     }
 }
@@ -204,7 +209,7 @@ pub fn graph_fingerprint<S: GraphSource>(
         if i > 0 {
             walker.acc = mix(walker.acc, TAG_ROOT_SEP);
         }
-        walker.visit_ref(root);
+        walker.visit(root);
     }
     // Fold in the length implicitly via final avalanche; the event stream
     // is prefix-free per root (Enter carries the field count), so the

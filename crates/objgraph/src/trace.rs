@@ -136,7 +136,7 @@ impl Snapshot {
             if i > 0 {
                 tracer.events.push(Event::RootSep);
             }
-            tracer.visit(&Value::Ref(root));
+            tracer.visit(root);
         }
         let objects = tracer.visited.len();
         Snapshot {
@@ -191,32 +191,37 @@ struct Tracer<'s, S> {
 }
 
 impl<S: GraphSource> Tracer<'_, S> {
-    fn visit(&mut self, value: &Value) {
-        match value {
-            Value::Null => self.events.push(Event::Null),
-            Value::Int(v) => self.events.push(Event::Int(*v)),
-            Value::Float(v) => self.events.push(Event::Float(v.to_bits())),
-            Value::Bool(v) => self.events.push(Event::Bool(*v)),
-            Value::Str(s) => self.events.push(Event::Str(s.clone())),
-            Value::Ref(id) => {
-                if let Some(&idx) = self.visited.get(id) {
-                    self.events.push(Event::Back(idx));
-                    return;
-                }
-                // The source hands out an owned field vector, so traversal
-                // does not hold a heap borrow across recursion (fields are
-                // cheap values).
-                let Some((class, fields)) = self.source.node(*id) else {
-                    self.events.push(Event::Dangling);
-                    return;
-                };
-                let idx = self.visited.len();
-                self.visited.insert(*id, idx);
-                self.events.push(Event::Enter(class, fields.len()));
-                for f in &fields {
-                    self.visit(f);
-                }
-            }
+    /// Depth-first, slot-ordered traversal from `root` on an explicit work
+    /// stack, so graph depth costs heap memory, never thread stack (a long
+    /// singly linked chain must not overflow a worker thread's stack).
+    /// Fields are pushed in reverse, so they pop — and are traced — in
+    /// slot order, each object's subgraph before its next sibling: the
+    /// same event stream a recursive walk emits.
+    fn visit(&mut self, root: ObjId) {
+        let mut pending = vec![Value::Ref(root)];
+        while let Some(value) = pending.pop() {
+            let event = match value {
+                Value::Null => Event::Null,
+                Value::Int(v) => Event::Int(v),
+                Value::Float(v) => Event::Float(v.to_bits()),
+                Value::Bool(v) => Event::Bool(v),
+                Value::Str(s) => Event::Str(s),
+                Value::Ref(id) => match self.visited.get(&id) {
+                    Some(&idx) => Event::Back(idx),
+                    // The source hands out an owned field vector, so the
+                    // walk holds no heap borrow (fields are cheap values).
+                    None => match self.source.node(id) {
+                        Some((class, fields)) => {
+                            self.visited.insert(id, self.visited.len());
+                            let enter = Event::Enter(class, fields.len());
+                            pending.extend(fields.into_iter().rev());
+                            enter
+                        }
+                        None => Event::Dangling,
+                    },
+                },
+            };
+            self.events.push(event);
         }
     }
 }
