@@ -157,28 +157,15 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "mask" | "verify" => {
-            let mut pipeline = Pipeline::new(&program).policy(policy);
+            let mut pipeline = Pipeline::new(&program).policy(policy).strategy(strategy);
             if let Some(cap) = opts.cap {
                 pipeline = pipeline.max_points(cap);
             }
             let report = pipeline.run();
             println!("{}: wrapped {:?}", opts.app, report.wrapped_names());
             if command == "verify" {
-                let verified = if opts.undo_log {
-                    // Re-verify with the requested strategy.
-                    atomask::verify_masked_with(
-                        &program,
-                        &report.mask_set,
-                        &Policy::default().mark_filter(),
-                        strategy,
-                    )
-                } else {
-                    report.verified.clone()
-                };
-                print_classification(&verified, opts.verbose);
-                if verified.method_counts.pure_nonatomic == 0
-                    && verified.method_counts.conditional == 0
-                {
+                print_classification(&report.verified, opts.verbose);
+                if report.corrected_is_atomic() {
                     println!("corrected program is failure atomic");
                     ExitCode::SUCCESS
                 } else {

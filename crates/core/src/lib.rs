@@ -58,12 +58,12 @@ pub use atomask_inject::{
 };
 pub use atomask_mask::{
     verify_masked, verify_masked_configured, verify_masked_with, MaskStats, MaskStrategy,
-    MaskingHook, Policy, UndoMaskingHook, UndoStats,
+    MaskingHook, Policy, UndoMaskingHook, UndoStats, WrapSet,
 };
 pub use atomask_mor::{
     AsOfHeap, Budget, CallHook, CallKind, CallSite, ClassBuilder, ClassId, Ctx, ExcId, Exception,
-    FnProgram, Heap, HookChain, Lang, MethodId, MethodResult, MorError, ObjId, Profile, Program,
-    Registry, RegistryBuilder, RingBufferSink, TraceEvent, TraceSink, Value, Vm,
+    FnProgram, Heap, Lang, MethodId, MethodResult, MorError, ObjId, Profile, Program, Registry,
+    RegistryBuilder, RingBufferSink, TraceEvent, TraceSink, Value, Vm,
 };
 pub use atomask_objgraph::{
     fingerprint_of_roots, graph_fingerprint, graph_size, Checkpoint, FingerprintCache, GraphSize,

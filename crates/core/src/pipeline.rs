@@ -68,6 +68,7 @@ impl PipelineReport {
 pub struct Pipeline<'p> {
     program: &'p dyn Program,
     policy: Policy,
+    strategy: MaskStrategy,
     max_points: Option<u64>,
     campaign_config: CampaignConfig,
 }
@@ -76,6 +77,7 @@ impl std::fmt::Debug for Pipeline<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("program", &self.program.name())
+            .field("strategy", &self.strategy)
             .field("max_points", &self.max_points)
             .field("campaign_config", &self.campaign_config)
             .finish()
@@ -88,6 +90,7 @@ impl<'p> Pipeline<'p> {
         Pipeline {
             program,
             policy: Policy::default(),
+            strategy: MaskStrategy::default(),
             max_points: None,
             campaign_config: CampaignConfig::default(),
         }
@@ -96,6 +99,14 @@ impl<'p> Pipeline<'p> {
     /// Sets the wrapping policy (§4.3).
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
+        self
+    }
+
+    /// Sets the atomicity-wrapper strategy the corrected program is
+    /// verified under (default [`MaskStrategy::DeepCopy`], Listing 2 as
+    /// written).
+    pub fn strategy(mut self, strategy: MaskStrategy) -> Self {
+        self.strategy = strategy;
         self
     }
 
@@ -128,7 +139,7 @@ impl<'p> Pipeline<'p> {
             self.program,
             &mask_set,
             &self.policy.mark_filter(),
-            MaskStrategy::DeepCopy,
+            self.strategy,
             self.campaign_config,
             self.max_points,
         );
@@ -174,6 +185,17 @@ mod tests {
         let p = validation_program();
         let report = Pipeline::new(&p).max_points(5).run();
         assert_eq!(report.detection.injections(), 5);
+    }
+
+    #[test]
+    fn strategy_and_cap_reach_the_verification() {
+        let p = crate::apps::program_by_name("LinkedBuffer").unwrap();
+        let report = Pipeline::new(&p)
+            .max_points(40)
+            .strategy(MaskStrategy::UndoLog)
+            .run();
+        assert_eq!(report.verified.health.total(), 40);
+        assert!(report.corrected_is_atomic(), "{:#?}", report.verified);
     }
 
     #[test]

@@ -42,8 +42,8 @@ use crate::journal::CampaignJournal;
 use crate::marks::Mark;
 use crate::replay::{Divergence, ReplayReport};
 use atomask_mor::{
-    Budget, CallHook, ExcId, HookChain, MethodId, OpRecord, Program, Registry, RingBufferSink,
-    TraceSink, Vm, VmCheckpoint, REPLAY_MISMATCH,
+    Budget, CallHook, ExcId, MethodId, OpRecord, Program, Registry, RingBufferSink, TraceSink, Vm,
+    VmCheckpoint, REPLAY_MISMATCH,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -969,9 +969,8 @@ impl<'p> Campaign<'p> {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.program.run(&mut *vm)));
         let replay_leftover = vm.replay_active();
         vm.clear_replay();
-        // Release the VM's clone(s) of the hook (direct or via a HookChain)
-        // so the results can be moved out, and its tracer clone so callers
-        // can unwrap the ring buffer.
+        // Release the VM's clones of both hooks so the results can be moved
+        // out, and its tracer clone so callers can unwrap the ring buffer.
         vm.set_hook(None);
         vm.set_tracer(None);
         let diverged = vm.fuel_exhausted();
@@ -1095,21 +1094,18 @@ impl<'p> Campaign<'p> {
     }
 
     fn install(&self, vm: &mut Vm, injector: Rc<RefCell<InjectionHook>>) {
-        match &self.inner_hook {
-            None => vm.set_hook(Some(injector)),
-            Some(factory) => {
-                let inner = factory(vm.registry());
-                let chain = HookChain::new(vec![injector, inner]);
-                vm.set_hook(Some(Rc::new(RefCell::new(chain))));
-            }
+        vm.set_hook(Some(injector));
+        if let Some(factory) = &self.inner_hook {
+            let inner = factory(vm.registry());
+            vm.set_inner_hook(Some(inner));
         }
     }
 }
 
 /// Recovers the injection hook's state after a run. The fast path takes
-/// sole ownership; if something still shares the `Rc` (a hook chain kept
-/// alive across a panic, say), the state is cloned out instead of aborting
-/// the whole campaign.
+/// sole ownership; if something still shares the `Rc` (a VM that was not
+/// cleared, say), the state is cloned out instead of aborting the whole
+/// campaign.
 fn extract_hook_state(
     hook: Rc<RefCell<InjectionHook>>,
     diagnostics: DiagnosticsFn,
@@ -1557,6 +1553,29 @@ mod tests {
         assert_eq!(CheckpointStride::Auto.resolve(10_000), Some(100));
     }
 
+    /// An inner hook that changes nothing.
+    struct Passthrough;
+
+    impl CallHook for Passthrough {
+        fn before(
+            &mut self,
+            _vm: &mut Vm,
+            _site: &atomask_mor::CallSite,
+        ) -> Result<atomask_mor::HookGuard, atomask_mor::Exception> {
+            Ok(None)
+        }
+
+        fn after(
+            &mut self,
+            _vm: &mut Vm,
+            _site: &atomask_mor::CallSite,
+            _guard: atomask_mor::HookGuard,
+            outcome: atomask_mor::MethodResult,
+        ) -> atomask_mor::MethodResult {
+            outcome
+        }
+    }
+
     #[test]
     fn harness_panics_are_journaled_at_every_worker_count() {
         // An inner-hook factory runs outside the guest's panic isolation,
@@ -1576,7 +1595,7 @@ mod tests {
                         if calls.fetch_add(1, Ordering::Relaxed) == 2 {
                             panic!("factory fault");
                         }
-                        Rc::new(RefCell::new(HookChain::new(Vec::new())))
+                        Rc::new(RefCell::new(Passthrough))
                     }
                 })
                 .workers(workers)

@@ -3,6 +3,48 @@
 use atomask_mor::{CallHook, CallSite, Exception, HookGuard, MethodId, MethodResult, ObjId, Vm};
 use atomask_objgraph::Checkpoint;
 use std::collections::HashSet;
+use std::sync::Arc;
+
+/// The methods an atomicity wrapper wraps: a dense membership table
+/// indexed by [`MethodId`] (ids are dense per registry), so the per-call
+/// "is this method wrapped?" test is one bounds-checked load instead of a
+/// hash lookup. Clones share the table, so a verification campaign builds
+/// it once and every attempt's hook shares it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WrapSet(Arc<[bool]>);
+
+impl WrapSet {
+    /// `true` iff `method` is wrapped.
+    #[inline]
+    pub fn contains(&self, method: MethodId) -> bool {
+        self.0.get(method.index()).copied().unwrap_or(false)
+    }
+}
+
+impl FromIterator<MethodId> for WrapSet {
+    fn from_iter<I: IntoIterator<Item = MethodId>>(methods: I) -> Self {
+        let mut table = Vec::new();
+        for m in methods {
+            if table.len() <= m.index() {
+                table.resize(m.index() + 1, false);
+            }
+            table[m.index()] = true;
+        }
+        WrapSet(table.into())
+    }
+}
+
+impl From<HashSet<MethodId>> for WrapSet {
+    fn from(methods: HashSet<MethodId>) -> Self {
+        methods.into_iter().collect()
+    }
+}
+
+impl From<&HashSet<MethodId>> for WrapSet {
+    fn from(methods: &HashSet<MethodId>) -> Self {
+        methods.iter().copied().collect()
+    }
+}
 
 /// Counters describing masking activity, used by the Fig. 5 overhead
 /// analysis and by reports.
@@ -25,26 +67,27 @@ pub struct MaskStats {
 /// detection-phase classification.
 #[derive(Debug)]
 pub struct MaskingHook {
-    wrapped: HashSet<MethodId>,
+    wrapped: WrapSet,
     stats: MaskStats,
 }
 
 impl MaskingHook {
-    /// Creates a hook wrapping exactly `wrapped`.
-    pub fn new(wrapped: HashSet<MethodId>) -> Self {
+    /// Creates a hook wrapping exactly `wrapped` (a `HashSet<MethodId>`
+    /// or a shared [`WrapSet`]).
+    pub fn new(wrapped: impl Into<WrapSet>) -> Self {
         MaskingHook {
-            wrapped,
+            wrapped: wrapped.into(),
             stats: MaskStats::default(),
         }
     }
 
     /// Creates a hook from any iterator of method ids.
     pub fn wrapping(methods: impl IntoIterator<Item = MethodId>) -> Self {
-        Self::new(methods.into_iter().collect())
+        Self::new(methods.into_iter().collect::<WrapSet>())
     }
 
     /// The methods this hook wraps.
-    pub fn wrapped(&self) -> &HashSet<MethodId> {
+    pub fn wrapped(&self) -> &WrapSet {
         &self.wrapped
     }
 
@@ -63,7 +106,7 @@ fn checkpoint_roots(site: &CallSite) -> Vec<ObjId> {
 
 impl CallHook for MaskingHook {
     fn before(&mut self, vm: &mut Vm, site: &CallSite) -> Result<HookGuard, Exception> {
-        if !self.wrapped.contains(&site.method) || !vm.registry().instrumentable(site.method) {
+        if !self.wrapped.contains(site.method) || !vm.registry().instrumentable(site.method) {
             return Ok(None);
         }
         // Listing 2 line 2: objgraph = deep_copy(this).

@@ -65,7 +65,7 @@ mod policy;
 mod undo;
 mod verify;
 
-pub use hook::{MaskStats, MaskingHook};
+pub use hook::{MaskStats, MaskingHook, WrapSet};
 pub use policy::Policy;
 pub use undo::{UndoMaskingHook, UndoStats};
 pub use verify::{verify_masked, verify_masked_configured, verify_masked_with, MaskStrategy};

@@ -15,8 +15,8 @@
 //! and deep-copy wrappers in one VM: a deep-copy restore bypasses the
 //! journal.
 
+use crate::hook::WrapSet;
 use atomask_mor::{CallHook, CallSite, Exception, HookGuard, MethodId, MethodResult, Vm};
-use std::collections::HashSet;
 
 /// Counters describing undo-log masking activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,22 +35,23 @@ pub struct UndoStats {
 /// journal backwards on exception.
 #[derive(Debug)]
 pub struct UndoMaskingHook {
-    wrapped: HashSet<MethodId>,
+    wrapped: WrapSet,
     stats: UndoStats,
 }
 
 impl UndoMaskingHook {
-    /// Creates a hook wrapping exactly `wrapped`.
-    pub fn new(wrapped: HashSet<MethodId>) -> Self {
+    /// Creates a hook wrapping exactly `wrapped` (a `HashSet<MethodId>`
+    /// or a shared [`WrapSet`]).
+    pub fn new(wrapped: impl Into<WrapSet>) -> Self {
         UndoMaskingHook {
-            wrapped,
+            wrapped: wrapped.into(),
             stats: UndoStats::default(),
         }
     }
 
     /// Creates a hook from any iterator of method ids.
     pub fn wrapping(methods: impl IntoIterator<Item = MethodId>) -> Self {
-        Self::new(methods.into_iter().collect())
+        Self::new(methods.into_iter().collect::<WrapSet>())
     }
 
     /// Masking activity counters.
@@ -64,7 +65,7 @@ struct JournalOpen;
 
 impl CallHook for UndoMaskingHook {
     fn before(&mut self, vm: &mut Vm, site: &CallSite) -> Result<HookGuard, Exception> {
-        if !self.wrapped.contains(&site.method) || !vm.registry().instrumentable(site.method) {
+        if !self.wrapped.contains(site.method) || !vm.registry().instrumentable(site.method) {
             return Ok(None);
         }
         vm.heap_mut().push_journal();

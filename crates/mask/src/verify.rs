@@ -8,7 +8,7 @@
 //! operation: re-run the entire detection campaign with the atomicity
 //! wrappers woven *inside* the injection wrappers and reclassify.
 
-use crate::hook::MaskingHook;
+use crate::hook::{MaskingHook, WrapSet};
 use crate::undo::UndoMaskingHook;
 use atomask_inject::{classify, Campaign, CampaignConfig, Classification, MarkFilter};
 use atomask_mor::{CallHook, MethodId, Program};
@@ -31,8 +31,8 @@ pub enum MaskStrategy {
 impl MaskStrategy {
     /// A fresh atomicity-wrapper hook of this strategy around `wrapped`,
     /// as [`atomask_inject::Campaign::with_inner_hook`] factories produce
-    /// one per run.
-    pub fn hook(self, wrapped: HashSet<MethodId>) -> Rc<RefCell<dyn CallHook>> {
+    /// one per run. Pass a shared [`WrapSet`] to build the table once.
+    pub fn hook(self, wrapped: impl Into<WrapSet>) -> Rc<RefCell<dyn CallHook>> {
         match self {
             MaskStrategy::DeepCopy => Rc::new(RefCell::new(MaskingHook::new(wrapped))),
             MaskStrategy::UndoLog => Rc::new(RefCell::new(UndoMaskingHook::new(wrapped))),
@@ -86,9 +86,9 @@ pub fn verify_masked_configured(
     config: CampaignConfig,
     cap: Option<u64>,
 ) -> Classification {
-    let mask_set = mask_set.clone();
+    let wrapped = WrapSet::from(mask_set);
     let mut campaign = Campaign::new(program)
-        .with_inner_hook(move |_registry| strategy.hook(mask_set.clone()))
+        .with_inner_hook(move |_registry| strategy.hook(wrapped.clone()))
         .config(config);
     if let Some(cap) = cap {
         campaign = campaign.max_points(cap);

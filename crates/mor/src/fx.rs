@@ -59,6 +59,10 @@ impl Hasher for FxHasher {
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
+/// A `HashSet` keyed through `FxHasher`: for sets of ids the heap hands
+/// out, never of outside input.
+pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,9 +12,15 @@
 //! While a write-journal layer is open, [`Heap::reclaim`] only records its
 //! garbage and the outermost layer's close releases it, so no object an
 //! open layer's undo log or as-of view refers to can vanish under it.
+//!
+//! Reclamation costs what it touches, not the heap: a *zero-count
+//! candidate table* remembers every object that lost its last reference or
+//! root since the last reclaim, and the objects born since then are known
+//! by an id watermark, so [`Heap::reclaim`] cascades from those alone.
 
 use crate::class::ClassDef;
 use crate::error::MorError;
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::ids::{ClassId, ObjId};
 use crate::registry::Registry;
 use crate::trace::{TraceEvent, TraceSink};
@@ -107,6 +113,8 @@ pub struct HeapCheckpoint {
     objects: Vec<Option<Object>>,
     refcounts: Vec<usize>,
     root_counts: Vec<usize>,
+    candidates: Vec<ObjId>,
+    reclaim_mark: usize,
     live: usize,
     stats: HeapStats,
 }
@@ -141,9 +149,19 @@ pub struct Heap {
     live: usize,
     stats: HeapStats,
     journal: JournalLog,
+    /// Zero-count candidates: objects below `reclaim_mark` that a
+    /// reference or root release left unreferenced and unrooted since the
+    /// last reclaim. Entries may be stale or repeated; reclaim filters.
+    /// Invariant: every live, unreferenced, unrooted object is listed here
+    /// or has a storage index at or past `reclaim_mark`.
+    candidates: Vec<ObjId>,
+    /// Object-table length at the last reclaim. Objects born since are
+    /// candidates by position, so allocation pushes nothing — and a run
+    /// that never reclaims (mark 0) never pushes at all.
+    reclaim_mark: usize,
     /// Garbage [`Heap::reclaim`] found while a journal layer was open,
     /// released when the outermost layer closes.
-    pending_garbage: Vec<ObjId>,
+    pending_garbage: FxHashSet<ObjId>,
     /// Bumped by every operation that can change the object graph; see
     /// [`Heap::mutation_epoch`].
     mutations: u64,
@@ -168,7 +186,9 @@ impl Heap {
             live: 0,
             stats: HeapStats::default(),
             journal: JournalLog::default(),
-            pending_garbage: Vec::new(),
+            candidates: Vec::new(),
+            reclaim_mark: 0,
+            pending_garbage: FxHashSet::default(),
             mutations: 0,
             tracer: None,
         }
@@ -199,6 +219,8 @@ impl Heap {
         self.stats = HeapStats::default();
         self.journal.writes.clear();
         self.journal.layers.clear();
+        self.candidates.clear();
+        self.reclaim_mark = 0;
         self.pending_garbage.clear();
         self.mutations += 1;
     }
@@ -220,6 +242,8 @@ impl Heap {
             objects: self.objects.clone(),
             refcounts: self.refcounts.clone(),
             root_counts: self.root_counts.clone(),
+            candidates: self.candidates.clone(),
+            reclaim_mark: self.reclaim_mark,
             live: self.live,
             stats: self.stats,
         }
@@ -234,6 +258,8 @@ impl Heap {
         self.objects.clone_from(&ckpt.objects);
         self.refcounts.clone_from(&ckpt.refcounts);
         self.root_counts.clone_from(&ckpt.root_counts);
+        self.candidates.clone_from(&ckpt.candidates);
+        self.reclaim_mark = ckpt.reclaim_mark;
         self.live = ckpt.live;
         self.stats = ckpt.stats;
         self.journal.writes.clear();
@@ -386,8 +412,12 @@ impl Heap {
 
     /// Removes one root reference from `id`.
     pub fn unroot(&mut self, id: ObjId) {
-        if let Some(n) = slot_index(id).and_then(|i| self.root_counts.get_mut(i)) {
+        let Some(i) = slot_index(id) else { return };
+        if let Some(n) = self.root_counts.get_mut(i) {
             *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.note_if_unreferenced(i);
+            }
         }
     }
 
@@ -414,6 +444,8 @@ impl Heap {
     ///
     /// This is the paper's reference-counting rollback cleanup (§5.1
     /// limitation 4); cyclic garbage survives and needs [`Heap::collect`].
+    /// The cascade starts from [`Heap::reclaim_candidates`] only, so it
+    /// costs the candidates and what they release, not a heap scan.
     ///
     /// While a journal layer is open this frees nothing and returns 0: it
     /// records the objects it would have released, and the outermost
@@ -422,12 +454,19 @@ impl Heap {
     /// a rollback inside an injection wrapper's extent must not punch a
     /// hole in the before-graph that wrapper reconstructs.
     pub fn reclaim(&mut self) -> usize {
+        let roots = self.take_garbage_roots();
         if self.journal.layers.is_empty() {
-            let unreferenced = self.unreferenced();
-            return self.release(unreferenced, None);
+            let freed = self.release(roots, None);
+            // An unrestricted cascade leaves no unreferenced, unrooted
+            // object behind: whatever it pushed is already released.
+            self.candidates.clear();
+            return freed;
         }
-        let garbage = self.garbage();
+        let garbage = self.garbage(&roots);
         self.pending_garbage.extend(garbage);
+        // Still garbage until something references them again, so the
+        // next reclaim's dry run starts from every garbage root once more.
+        self.candidates = roots;
         0
     }
 
@@ -436,22 +475,58 @@ impl Heap {
         self.is_live(id) && self.refcount(id) == 0 && self.root_count(id) == 0
     }
 
-    /// Every live, unrooted, unreferenced object.
-    fn unreferenced(&self) -> Vec<ObjId> {
-        self.iter()
-            .map(|(id, _)| id)
-            .filter(|&id| self.is_garbage(id))
-            .collect()
+    /// Records storage index `i` as a zero-count candidate if it is
+    /// unreferenced and unrooted and sits below the reclaim mark (objects
+    /// past it are candidates by position). Called where a reference or a
+    /// root is released. Should stale entries pile up to the mark's size,
+    /// the table is dropped and the mark reset, so the next reclaim scans
+    /// every object once instead.
+    #[inline]
+    fn note_if_unreferenced(&mut self, i: usize) {
+        if i >= self.reclaim_mark || self.refcounts[i] != 0 || self.root_counts[i] != 0 {
+            return;
+        }
+        if self.candidates.len() >= self.reclaim_mark {
+            self.candidates.clear();
+            self.reclaim_mark = 0;
+        } else {
+            self.candidates.push(ObjId::from_raw(i as u64 + 1));
+        }
     }
 
-    /// What an immediate [`Heap::reclaim`] would release, computed on a
-    /// copy of the reference counts: the unreferenced objects plus every
-    /// object their release would leave unrooted and unreferenced.
-    fn garbage(&self) -> Vec<ObjId> {
-        let mut refcounts = self.refcounts.clone();
-        let mut worklist = self.unreferenced();
+    /// What the next [`Heap::reclaim`] starts from before it filters: the
+    /// zero-count candidate table, then the objects born since the last
+    /// reclaim. Every live, unreferenced, unrooted object is among them;
+    /// entries may repeat or name objects that are no longer garbage.
+    pub fn reclaim_candidates(&self) -> impl Iterator<Item = ObjId> + '_ {
+        let born = (self.reclaim_mark..self.objects.len()).map(|i| ObjId::from_raw(i as u64 + 1));
+        self.candidates.iter().copied().chain(born)
+    }
+
+    /// Every live, unrooted, unreferenced object, in id order. Empties the
+    /// candidate table and moves the reclaim mark to the end of the object
+    /// table.
+    fn take_garbage_roots(&mut self) -> Vec<ObjId> {
+        let mut roots: Vec<ObjId> = self
+            .reclaim_candidates()
+            .filter(|&id| self.is_garbage(id))
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        self.candidates.clear();
+        self.reclaim_mark = self.objects.len();
+        roots
+    }
+
+    /// What an immediate [`Heap::reclaim`] would release, given every
+    /// garbage root: the roots plus every object their release would leave
+    /// unrooted and unreferenced. The dry run keeps the references it
+    /// drops in a sparse overlay, so it costs the cascade, not the heap.
+    fn garbage(&self, roots: &[ObjId]) -> Vec<ObjId> {
+        let mut dropped: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut worklist = roots.to_vec();
         let mut garbage = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         while let Some(id) = worklist.pop() {
             if !seen.insert(id) {
                 continue;
@@ -459,11 +534,12 @@ impl Heap {
             garbage.push(id);
             let obj = self.get(id).expect("garbage candidates are live");
             for target in obj.fields.iter().filter_map(Value::as_ref_id) {
-                let Some(i) = slot_index(target).filter(|&i| i < refcounts.len()) else {
+                let Some(i) = slot_index(target).filter(|&i| i < self.refcounts.len()) else {
                     continue;
                 };
-                refcounts[i] = refcounts[i].saturating_sub(1);
-                if refcounts[i] == 0 && self.is_live(target) && self.root_count(target) == 0 {
+                let n = dropped.entry(i).or_default();
+                *n += 1;
+                if self.refcounts[i] <= *n && self.is_live(target) && self.root_count(target) == 0 {
                     worklist.push(target);
                 }
             }
@@ -474,7 +550,7 @@ impl Heap {
     /// Releases the objects on `worklist`, cascading to every object their
     /// release leaves unrooted and unreferenced — restricted to `within`
     /// when given. Returns the number of objects released.
-    fn release(&mut self, mut worklist: Vec<ObjId>, within: Option<&HashSet<ObjId>>) -> usize {
+    fn release(&mut self, mut worklist: Vec<ObjId>, within: Option<&FxHashSet<ObjId>>) -> usize {
         let mut freed = 0;
         while let Some(id) = worklist.pop() {
             let idx = slot_index(id).expect("worklist ids are allocated");
@@ -508,9 +584,7 @@ impl Heap {
         if self.pending_garbage.is_empty() {
             return;
         }
-        let pending: HashSet<ObjId> = std::mem::take(&mut self.pending_garbage)
-            .into_iter()
-            .collect();
+        let pending = std::mem::take(&mut self.pending_garbage);
         let worklist = pending
             .iter()
             .copied()
@@ -568,23 +642,34 @@ impl Heap {
     }
 
     /// Overwrites the full field vector of a live object **without**
-    /// reference-count maintenance. Restore-only API: callers must follow up
-    /// with [`Heap::recompute_refcounts`].
-    pub fn restore_fields(&mut self, id: ObjId, fields: Vec<Value>) -> Result<(), MorError> {
-        let obj = self.get_slot_mut(id).ok_or(MorError::DeadObject(id))?;
+    /// journaling, maintaining reference counts: the new fields' targets
+    /// gain a reference, then the displaced ones lose theirs. Restore-only
+    /// API (checkpoint rollback).
+    pub fn restore_fields(&mut self, id: ObjId, fields: &[Value]) -> Result<(), MorError> {
+        let obj = self.get(id).ok_or(MorError::DeadObject(id))?;
         assert_eq!(
             obj.fields.len(),
             fields.len(),
             "restore_fields: schema size mismatch for {id}"
         );
-        obj.fields = fields;
+        for target in fields.iter().filter_map(Value::as_ref_id) {
+            self.inc_ref(target);
+        }
+        for (slot, value) in fields.iter().enumerate() {
+            let obj = self.get_slot_mut(id).expect("checked live above");
+            let old = std::mem::replace(&mut obj.fields[slot], value.clone());
+            if let Some(target) = old.as_ref_id() {
+                self.dec_ref(target);
+            }
+        }
         self.mutations += 1;
         Ok(())
     }
 
-    /// Re-inserts a previously reclaimed object at its original id.
-    /// Restore-only API: callers must follow up with
-    /// [`Heap::recompute_refcounts`].
+    /// Re-inserts a previously reclaimed object at its original id; its
+    /// fields' targets gain a reference. Its own count is left as the
+    /// references restored so far made it (a released object had none).
+    /// Restore-only API (checkpoint rollback).
     ///
     /// # Panics
     ///
@@ -593,13 +678,18 @@ impl Heap {
         assert!(!self.is_live(id), "resurrect: {id} is live");
         let idx = slot_index(id).filter(|i| *i < self.objects.len());
         let idx = idx.unwrap_or_else(|| panic!("resurrect: {id} was never allocated"));
+        for target in object.fields.iter().filter_map(Value::as_ref_id) {
+            self.inc_ref(target);
+        }
         self.objects[idx] = Some(object);
         self.live += 1;
         self.mutations += 1;
+        self.note_if_unreferenced(idx);
     }
 
     /// Rebuilds every reference count by scanning the heap. Used after
-    /// checkpoint restore, which bypasses incremental maintenance.
+    /// mark–sweep collection, and by tests as the reference the
+    /// incremental counts must equal.
     pub fn recompute_refcounts(&mut self) {
         self.refcounts.iter_mut().for_each(|n| *n = 0);
         self.refcounts.resize(self.objects.len(), 0);
@@ -794,9 +884,11 @@ impl Heap {
 
     #[inline]
     fn dec_ref(&mut self, id: ObjId) {
-        if let Some(i) = slot_index(id) {
-            if let Some(n) = self.refcounts.get_mut(i) {
-                *n = n.saturating_sub(1);
+        let Some(i) = slot_index(id) else { return };
+        if let Some(n) = self.refcounts.get_mut(i) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.note_if_unreferenced(i);
             }
         }
     }
@@ -1039,7 +1131,6 @@ mod tests {
         h.reclaim();
         assert!(!h.is_live(a));
         h.resurrect(a, snapshot);
-        h.recompute_refcounts();
         assert!(h.is_live(a));
         assert_eq!(h.field(a, "value"), Some(Value::Int(0)));
     }

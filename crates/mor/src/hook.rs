@@ -2,7 +2,8 @@
 //! *Code Weaver*.
 //!
 //! Every method and constructor call dispatched by the [`crate::Vm`] passes
-//! through the installed [`CallHook`] (if any): `before` runs ahead of the
+//! through the installed [`CallHook`]s (at most two, nested — see
+//! [`crate::Vm::set_inner_hook`]): `before` runs ahead of the
 //! body and may replace the call with a thrown exception (Listing 1's
 //! injection points), `after` observes the outcome and may act on it
 //! (Listing 1's atomicity check, Listing 2's rollback) before it propagates
@@ -72,78 +73,6 @@ pub trait CallHook {
         guard: HookGuard,
         outcome: MethodResult,
     ) -> MethodResult;
-}
-
-/// Nests several hooks around each call, outermost first — the effect of
-/// weaving several wrappers around the same method.
-///
-/// `before` runs outermost→innermost and `after` innermost→outermost, so
-/// `HookChain::new(vec![inject, mask])` reproduces the paper's corrected-
-/// program validation setup: the injection wrapper observes the outcome
-/// *after* the atomicity wrapper rolled the object back.
-///
-/// If some hook's `before` throws, the hooks outside it still see the
-/// exception through their `after` (their wrappers' `catch` blocks), while
-/// hooks inside it never run — exactly like nested `try` blocks.
-pub struct HookChain {
-    hooks: Vec<std::rc::Rc<std::cell::RefCell<dyn CallHook>>>,
-}
-
-impl HookChain {
-    /// Creates a chain from outermost to innermost hook.
-    pub fn new(hooks: Vec<std::rc::Rc<std::cell::RefCell<dyn CallHook>>>) -> Self {
-        HookChain { hooks }
-    }
-}
-
-impl std::fmt::Debug for HookChain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookChain")
-            .field("len", &self.hooks.len())
-            .finish()
-    }
-}
-
-impl CallHook for HookChain {
-    fn before(&mut self, vm: &mut Vm, site: &CallSite) -> Result<HookGuard, Exception> {
-        let mut guards: Vec<HookGuard> = Vec::with_capacity(self.hooks.len());
-        for (i, hook) in self.hooks.iter().enumerate() {
-            match hook.borrow_mut().before(vm, site) {
-                Ok(g) => guards.push(g),
-                Err(e) => {
-                    // Unwind: outer wrappers catch the exception thrown by
-                    // the inner wrapper's injection point.
-                    let mut outcome: MethodResult = Err(e);
-                    for j in (0..i).rev() {
-                        let guard = guards.pop().expect("one guard per completed before");
-                        outcome = self.hooks[j].borrow_mut().after(vm, site, guard, outcome);
-                        let _ = j;
-                    }
-                    return Err(outcome.expect_err("hooks must propagate exceptions"));
-                }
-            }
-        }
-        Ok(Some(Box::new(guards)))
-    }
-
-    fn after(
-        &mut self,
-        vm: &mut Vm,
-        site: &CallSite,
-        guard: HookGuard,
-        outcome: MethodResult,
-    ) -> MethodResult {
-        let mut guards = *guard
-            .expect("chain guard present")
-            .downcast::<Vec<HookGuard>>()
-            .expect("chain guard type");
-        let mut outcome = outcome;
-        for hook in self.hooks.iter().rev() {
-            let g = guards.pop().expect("one guard per hook");
-            outcome = hook.borrow_mut().after(vm, site, g, outcome);
-        }
-        outcome
-    }
 }
 
 #[cfg(test)]
@@ -228,109 +157,6 @@ mod tests {
         ) -> MethodResult {
             outcome
         }
-    }
-
-    /// A hook that logs before/after events with a label.
-    struct Logger {
-        label: &'static str,
-        log: Rc<RefCell<Vec<String>>>,
-        throw_on_before: bool,
-    }
-
-    impl CallHook for Logger {
-        fn before(&mut self, vm: &mut Vm, site: &CallSite) -> Result<HookGuard, Exception> {
-            self.log.borrow_mut().push(format!("{}:before", self.label));
-            if self.throw_on_before {
-                let ty = vm.registry().runtime_exceptions()[0];
-                return Err(Exception::injected(ty, site.method));
-            }
-            Ok(Some(Box::new(self.label)))
-        }
-
-        fn after(
-            &mut self,
-            _vm: &mut Vm,
-            _site: &CallSite,
-            guard: HookGuard,
-            outcome: MethodResult,
-        ) -> MethodResult {
-            let label = guard
-                .and_then(|g| g.downcast::<&'static str>().ok())
-                .map(|b| *b)
-                .unwrap_or("?");
-            assert_eq!(label, self.label, "guards must return to their hook");
-            self.log
-                .borrow_mut()
-                .push(format!("{}:after:{}", self.label, outcome.is_ok()));
-            outcome
-        }
-    }
-
-    fn chain_vm() -> (Vm, Rc<RefCell<Vec<String>>>) {
-        let mut rb = RegistryBuilder::new(Profile::java());
-        rb.class("A", |c| {
-            c.method("m", |_, _, _| Ok(Value::Int(1)));
-        });
-        let vm = Vm::new(rb.build());
-        (vm, Rc::new(RefCell::new(Vec::new())))
-    }
-
-    #[test]
-    fn chain_runs_outer_before_first_and_after_last() {
-        let (mut vm, log) = chain_vm();
-        let chain = HookChain::new(vec![
-            Rc::new(RefCell::new(Logger {
-                label: "outer",
-                log: log.clone(),
-                throw_on_before: false,
-            })),
-            Rc::new(RefCell::new(Logger {
-                label: "inner",
-                log: log.clone(),
-                throw_on_before: false,
-            })),
-        ]);
-        vm.set_hook(Some(Rc::new(RefCell::new(chain))));
-        let a = vm.construct("A", &[]).unwrap();
-        vm.root(a);
-        vm.call(a, "m", &[]).unwrap();
-        assert_eq!(
-            log.borrow().as_slice(),
-            &[
-                "outer:before",
-                "inner:before",
-                "inner:after:true",
-                "outer:after:true"
-            ]
-        );
-    }
-
-    #[test]
-    fn inner_before_throw_unwinds_through_outer_after() {
-        let (mut vm, log) = chain_vm();
-        let chain = HookChain::new(vec![
-            Rc::new(RefCell::new(Logger {
-                label: "outer",
-                log: log.clone(),
-                throw_on_before: false,
-            })),
-            Rc::new(RefCell::new(Logger {
-                label: "inner",
-                log: log.clone(),
-                throw_on_before: true,
-            })),
-        ]);
-        vm.set_hook(Some(Rc::new(RefCell::new(chain))));
-        let a = vm.construct("A", &[]).unwrap();
-        vm.root(a);
-        let err = vm.call(a, "m", &[]).unwrap_err();
-        assert!(err.injected);
-        // The inner wrapper threw at its injection point: the body never
-        // ran, the inner after never ran, the outer after saw the error.
-        assert_eq!(
-            log.borrow().as_slice(),
-            &["outer:before", "inner:before", "outer:after:false"]
-        );
     }
 
     #[test]

@@ -87,8 +87,9 @@ pub use class::{ClassBuilder, ClassDef, FieldDef, MethodCfg, MethodDef, CTOR_NAM
 pub use ctx::Ctx;
 pub use error::MorError;
 pub use exception::{Exception, ExceptionTable, MethodResult};
+pub use fx::FxHashSet;
 pub use heap::{AsOfHeap, Heap, HeapCheckpoint, HeapStats, Object};
-pub use hook::{CallHook, CallKind, CallSite, HookChain, HookGuard};
+pub use hook::{CallHook, CallKind, CallSite, HookGuard};
 pub use ids::{ClassId, ExcId, MethodId, ObjId};
 pub use profile::{Lang, Profile};
 pub use program::{FnProgram, Program};

@@ -5,7 +5,7 @@ use crate::class::MethodBody;
 use crate::ctx::Ctx;
 use crate::exception::{Exception, ExceptionTable, MethodResult};
 use crate::heap::Heap;
-use crate::hook::{CallHook, CallKind, CallSite};
+use crate::hook::{CallHook, CallKind, CallSite, HookGuard};
 use crate::ids::{ExcId, MethodId, ObjId};
 use crate::registry::Registry;
 use crate::resume::{
@@ -49,7 +49,9 @@ impl CallStats {
 /// The managed-runtime virtual machine.
 ///
 /// Owns the [`Heap`], shares the immutable [`Registry`], and dispatches all
-/// guest calls through the optional [`CallHook`].
+/// guest calls through up to two nested [`CallHook`]s: the outer hook (the
+/// injection wrapper of Listing 1) and, inside it, the inner hook (the
+/// atomicity wrapper of Listing 2 when a corrected program is verified).
 ///
 /// The VM is single-threaded by design: the paper (§4.4) explicitly leaves
 /// concurrent programs out of scope.
@@ -57,6 +59,9 @@ pub struct Vm {
     registry: Rc<Registry>,
     heap: Heap,
     hook: Option<Rc<RefCell<dyn CallHook>>>,
+    /// Woven inside `hook`: its `before` runs after the outer one and its
+    /// `after` before the outer one (see [`Vm::set_inner_hook`]).
+    inner_hook: Option<Rc<RefCell<dyn CallHook>>>,
     /// Frame-local root sets: everything a method body can name stays
     /// rooted while its frame is live, so deferred reclamation can never
     /// free an object the body still holds an id to. Stored as one flat
@@ -104,6 +109,7 @@ impl Vm {
             heap: Heap::new(registry.clone()),
             registry,
             hook: None,
+            inner_hook: None,
             frame_roots: Vec::new(),
             frame_starts: Vec::new(),
             stats: CallStats::new(methods),
@@ -154,8 +160,8 @@ impl Vm {
     /// Re-initializes the VM for a fresh run **without** rebuilding its
     /// universe. The heap is epoch-reset (storage capacity retained, ids
     /// restart at 1), exception chain ids restart, call statistics /
-    /// frames / depth / call sequence are zeroed, the hook and tracer are
-    /// detached, and the fuel meter is replaced with an unlimited budget —
+    /// frames / depth / call sequence are zeroed, both hooks and the tracer
+    /// are detached, and the fuel meter is replaced with an unlimited budget —
     /// exactly the state [`Vm::from_shared_registry`] constructs, so a
     /// recycled VM's run records are bit-identical to a fresh VM's.
     ///
@@ -166,7 +172,7 @@ impl Vm {
         crate::exception::reset_chains();
         self.heap.epoch_reset();
         self.set_tracer(None);
-        self.hook = None;
+        self.set_hook(None);
         self.frame_roots.clear();
         self.frame_starts.clear();
         self.depth = 0;
@@ -213,9 +219,25 @@ impl Vm {
     }
 
     /// Installs (or removes) the call hook — the equivalent of weaving
-    /// wrappers into the program.
+    /// wrappers into the program. Either way the inner slot is emptied, so
+    /// `set_hook(None)` releases the VM's clones of both hooks and a
+    /// caller can take sole ownership of its hook state back.
     pub fn set_hook(&mut self, hook: Option<Rc<RefCell<dyn CallHook>>>) {
         self.hook = hook;
+        self.inner_hook = None;
+    }
+
+    /// Installs (or removes) a second hook woven **inside** the one
+    /// [`Vm::set_hook`] installed — the corrected-program validation
+    /// setup, with the injection wrapper outside the atomicity wrapper.
+    /// Per call: outer `before`, inner `before`, body, inner `after`,
+    /// outer `after`. If the inner `before` throws, the body and the inner
+    /// `after` are skipped and the outer `after` sees the exception; if
+    /// the outer `before` throws, neither inner half runs — exactly like
+    /// nested `try` blocks. Call after [`Vm::set_hook`], which empties
+    /// this slot.
+    pub fn set_inner_hook(&mut self, hook: Option<Rc<RefCell<dyn CallHook>>>) {
+        self.inner_hook = hook;
     }
 
     /// Dynamic call statistics collected so far.
@@ -704,26 +726,32 @@ impl Vm {
             self.frame_roots.push(a);
         }
 
-        let hook = self.hook.clone();
-        let (body_ran, guard, mut result) = {
-            match &hook {
-                Some(h) => match h.borrow_mut().before(self, &site) {
-                    Ok(g) => (true, g, None),
-                    Err(e) => (false, None, Some(Err(e))),
-                },
-                None => (true, None, None),
+        // Outer, then inner `before`; each guard stays on this stack frame
+        // until its own `after`. A `before` that throws ends the descent:
+        // only the hooks outside it get an `after`, and see the exception.
+        let (outer, inner) = (self.hook.clone(), self.inner_hook.clone());
+        let mut entered: [Option<HookGuard>; 2] = [None, None];
+        let mut result = None;
+        for (slot, hook) in [&outer, &inner].into_iter().enumerate() {
+            if let Some(h) = hook {
+                match h.borrow_mut().before(self, &site) {
+                    Ok(g) => entered[slot] = Some(g),
+                    Err(e) => {
+                        result = Some(Err(e));
+                        break;
+                    }
+                }
             }
-        };
-        if result.is_none() {
+        }
+        let mut result = result.unwrap_or_else(|| {
             self.depth += 1;
             let outcome = {
                 let mut ctx = Ctx::new(self);
                 body(&mut ctx, recv, args)
             };
             self.depth -= 1;
-            result = Some(outcome);
-        }
-        let mut result = result.expect("outcome decided above");
+            outcome
+        });
 
         // Pop the frame before `after` runs: once the callee returned or
         // threw, its locals are dead, so rollback cleanup inside `after`
@@ -739,10 +767,12 @@ impl Vm {
         }
         self.frame_roots.truncate(start);
 
-        if body_ran {
-            if let Some(h) = &hook {
-                result = h.borrow_mut().after(self, &site, guard, result);
-            }
+        let [outer_guard, inner_guard] = entered;
+        if let (Some(h), Some(g)) = (&inner, inner_guard) {
+            result = h.borrow_mut().after(self, &site, g, result);
+        }
+        if let (Some(h), Some(g)) = (&outer, outer_guard) {
+            result = h.borrow_mut().after(self, &site, g, result);
         }
         self.heap.unroot(recv);
         for &a in &site.ref_args {
@@ -803,6 +833,7 @@ impl std::fmt::Debug for Vm {
             .field("depth", &self.depth)
             .field("calls", &self.stats.total_calls())
             .field("hooked", &self.hook.is_some())
+            .field("inner_hooked", &self.inner_hook.is_some())
             .finish()
     }
 }
@@ -1100,5 +1131,127 @@ mod tests {
             a.call(ca, "increment", &[]).unwrap(),
             b.call(cb, "increment", &[]).unwrap()
         );
+    }
+
+    /// A hook that logs its before/after events under a label and can
+    /// throw from `before`.
+    struct Logger {
+        label: &'static str,
+        log: Rc<RefCell<Vec<String>>>,
+        throw_on_before: bool,
+    }
+
+    impl CallHook for Logger {
+        fn before(&mut self, vm: &mut Vm, site: &CallSite) -> Result<HookGuard, Exception> {
+            self.log.borrow_mut().push(format!("{}:before", self.label));
+            if self.throw_on_before {
+                let ty = vm.registry().runtime_exceptions()[0];
+                return Err(Exception::injected(ty, site.method));
+            }
+            Ok(Some(Box::new(self.label)))
+        }
+
+        fn after(
+            &mut self,
+            _vm: &mut Vm,
+            _site: &CallSite,
+            guard: HookGuard,
+            outcome: MethodResult,
+        ) -> MethodResult {
+            let label = guard
+                .and_then(|g| g.downcast::<&'static str>().ok())
+                .map(|b| *b);
+            assert_eq!(label, Some(self.label), "guards must return to their hook");
+            self.log
+                .borrow_mut()
+                .push(format!("{}:after:{}", self.label, outcome.is_ok()));
+            outcome
+        }
+    }
+
+    /// A VM over one class whose method `m` logs its body run into the
+    /// returned log, with `outer` and `inner` [`Logger`]s installed.
+    fn nested_vm(outer_throws: bool, inner_throws: bool) -> (Vm, ObjId, Rc<RefCell<Vec<String>>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let body_log = log.clone();
+        let mut rb = RegistryBuilder::new(Profile::java());
+        rb.class("A", |c| {
+            c.method("m", move |_, _, _| {
+                body_log.borrow_mut().push("body".to_owned());
+                Ok(Value::Int(1))
+            });
+        });
+        let mut vm = Vm::new(rb.build());
+        let a = vm.alloc_raw("A");
+        vm.root(a);
+        let logger = |label, throw_on_before| -> Rc<RefCell<dyn CallHook>> {
+            Rc::new(RefCell::new(Logger {
+                label,
+                log: log.clone(),
+                throw_on_before,
+            }))
+        };
+        vm.set_hook(Some(logger("outer", outer_throws)));
+        vm.set_inner_hook(Some(logger("inner", inner_throws)));
+        (vm, a, log)
+    }
+
+    #[test]
+    fn nested_hooks_run_outer_before_first_and_outer_after_last() {
+        let (mut vm, a, log) = nested_vm(false, false);
+        assert_eq!(vm.call(a, "m", &[]).unwrap(), Value::Int(1));
+        assert_eq!(
+            log.borrow().as_slice(),
+            &[
+                "outer:before",
+                "inner:before",
+                "body",
+                "inner:after:true",
+                "outer:after:true"
+            ]
+        );
+    }
+
+    #[test]
+    fn inner_before_throw_unwinds_through_outer_after() {
+        let (mut vm, a, log) = nested_vm(false, true);
+        let err = vm.call(a, "m", &[]).unwrap_err();
+        assert!(err.injected);
+        // The inner wrapper threw at its injection point: the body and the
+        // inner after never ran, the outer after saw the exception.
+        assert_eq!(
+            log.borrow().as_slice(),
+            &["outer:before", "inner:before", "outer:after:false"]
+        );
+    }
+
+    #[test]
+    fn outer_before_throw_skips_the_inner_hook() {
+        let (mut vm, a, log) = nested_vm(true, false);
+        let err = vm.call(a, "m", &[]).unwrap_err();
+        assert!(err.injected);
+        assert_eq!(log.borrow().as_slice(), &["outer:before"]);
+    }
+
+    #[test]
+    fn set_hook_none_releases_both_slots() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let outer = Rc::new(RefCell::new(Logger {
+            label: "outer",
+            log: log.clone(),
+            throw_on_before: false,
+        }));
+        let inner = Rc::new(RefCell::new(Logger {
+            label: "inner",
+            log,
+            throw_on_before: false,
+        }));
+        let mut vm = Vm::new(counter_registry());
+        vm.set_hook(Some(outer.clone()));
+        vm.set_inner_hook(Some(inner.clone()));
+        assert_eq!((Rc::strong_count(&outer), Rc::strong_count(&inner)), (2, 2));
+        vm.set_hook(None);
+        assert_eq!((Rc::strong_count(&outer), Rc::strong_count(&inner)), (1, 1));
+        assert!(Rc::try_unwrap(outer).is_ok() && Rc::try_unwrap(inner).is_ok());
     }
 }

@@ -2,8 +2,8 @@
 //! `deep_copy` / `replace` pair (Listing 2 of the paper).
 
 use crate::size::object_bytes;
-use atomask_mor::{Heap, ObjId, Object, Value};
-use std::collections::BTreeMap;
+use atomask_mor::{ClassId, FxHashSet, Heap, ObjId, Object, Value};
+use std::ops::Range;
 
 /// A restorable deep copy of everything reachable from a set of roots.
 ///
@@ -17,37 +17,50 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     roots: Vec<ObjId>,
-    objects: BTreeMap<ObjId, Object>,
+    /// The captured objects sorted by id: class and the range of their
+    /// field values in `values`.
+    objects: Vec<(ObjId, ClassId, Range<usize>)>,
+    /// Every captured field value, one flat vector for the whole graph.
+    values: Vec<Value>,
     bytes: usize,
 }
 
 impl Checkpoint {
     /// Captures the graphs of `roots` (receiver plus by-reference
-    /// arguments, per Listing 1/2).
+    /// arguments, per Listing 1/2). One pass over the reachable objects
+    /// into flat storage, then a sort of the per-object index by id.
     pub fn capture(heap: &Heap, roots: &[ObjId]) -> Self {
-        let mut objects = BTreeMap::new();
+        // Wrapped receivers' graphs are mostly a handful of objects: start
+        // with room for them so small captures never regrow.
+        const SMALL_GRAPH: usize = 8;
+        let mut objects = Vec::with_capacity(SMALL_GRAPH);
+        let mut values = Vec::with_capacity(4 * SMALL_GRAPH);
+        let mut visited = FxHashSet::with_capacity_and_hasher(SMALL_GRAPH, Default::default());
         let mut bytes = 0;
         let mut stack: Vec<ObjId> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            if objects.contains_key(&id) {
+            if !visited.insert(id) {
                 continue;
             }
             let Some(obj) = heap.get(id) else {
                 continue; // dangling (incomplete graph): skip, as §5.1 allows
             };
             bytes += object_bytes(obj);
-            for v in obj.fields() {
-                if let Some(target) = v.as_ref_id() {
-                    if !objects.contains_key(&target) {
-                        stack.push(target);
-                    }
-                }
-            }
-            objects.insert(id, obj.clone());
+            stack.extend(
+                obj.fields()
+                    .iter()
+                    .filter_map(Value::as_ref_id)
+                    .filter(|target| !visited.contains(target)),
+            );
+            let start = values.len();
+            values.extend_from_slice(obj.fields());
+            objects.push((id, obj.class_id(), start..values.len()));
         }
+        objects.sort_unstable_by_key(|(id, _, _)| *id);
         Checkpoint {
             roots: roots.to_vec(),
             objects,
+            values,
             bytes,
         }
     }
@@ -69,34 +82,47 @@ impl Checkpoint {
 
     /// Restores the heap region covered by this checkpoint: every captured
     /// object gets its captured field values back; reclaimed objects are
-    /// resurrected. Reference counts are recomputed afterwards.
+    /// resurrected. The heap maintains reference counts as it goes, so the
+    /// cost is O(captured objects), not O(heap).
     ///
     /// This is the `replace(this, objgraph)` of Listing 2.
     pub fn restore(&self, heap: &mut Heap) {
-        for (&id, obj) in &self.objects {
-            if heap.is_live(id) {
-                heap.restore_fields(id, obj.fields().to_vec())
+        for (id, class, range) in &self.objects {
+            let fields = &self.values[range.clone()];
+            if heap.is_live(*id) {
+                heap.restore_fields(*id, fields)
                     .expect("live object accepts restore");
             } else {
-                heap.resurrect(id, obj.clone());
+                heap.resurrect(*id, Object::from_parts(*class, fields.to_vec()));
             }
         }
-        heap.recompute_refcounts();
     }
 
-    /// Iterates over the captured objects in id order.
-    pub fn objects(&self) -> impl Iterator<Item = (ObjId, &Object)> {
-        self.objects.iter().map(|(id, o)| (*id, o))
+    /// Iterates over the captured objects in id order: id, class and
+    /// captured field values.
+    pub fn objects(&self) -> impl Iterator<Item = (ObjId, ClassId, &[Value])> {
+        self.objects
+            .iter()
+            .map(|(id, class, range)| (*id, *class, &self.values[range.clone()]))
+    }
+
+    /// The captured field values of `id`, if captured.
+    fn fields(&self, id: ObjId) -> Option<&[Value]> {
+        let i = self
+            .objects
+            .binary_search_by_key(&id, |(id, _, _)| *id)
+            .ok()?;
+        Some(&self.values[self.objects[i].2.clone()])
     }
 
     /// Returns `true` iff `id` was captured.
     pub fn contains(&self, id: ObjId) -> bool {
-        self.objects.contains_key(&id)
+        self.fields(id).is_some()
     }
 
     /// Convenience: the captured value of `field` on `id`, if captured.
     pub fn field(&self, id: ObjId, slot: usize) -> Option<&Value> {
-        self.objects.get(&id)?.fields().get(slot)
+        self.fields(id)?.get(slot)
     }
 }
 

@@ -1,28 +1,31 @@
 //! Behavioural tests of the masking phase on real data structures: under
-//! *every* injection point, a masked red-black tree keeps its invariants
-//! and a masked queue keeps its contents.
+//! *every* injection point and both wrapper strategies, a masked red-black
+//! tree keeps its invariants and a masked queue keeps its contents.
 
-use atomask_mor::HookChain;
-use atomask_suite::{InjectionHook, MaskingHook, Pipeline, Program, Value, Vm};
+use atomask_suite::{InjectionHook, MaskStrategy, Pipeline, Program, Value, Vm, WrapSet};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Runs `program` once per injection point with the mask set derived from
-/// a detection pipeline, returning the VM of each faulted run for
-/// inspection.
+const STRATEGIES: [MaskStrategy; 2] = [MaskStrategy::DeepCopy, MaskStrategy::UndoLog];
+
+/// Runs `program` once per injection point and strategy, with the
+/// injection wrapper outside the atomicity wrapper for the mask set a
+/// detection pipeline derived, and hands each faulted run's VM to
+/// `inspect`.
 fn faulted_runs(program: &atomask_suite::FnProgram, inspect: impl Fn(&Vm)) {
     let report = Pipeline::new(program).run();
-    let mask_set = report.mask_set.clone();
+    let wrapped = WrapSet::from(&report.mask_set);
     let total = report.detection.total_points;
-    for ip in 1..=total {
-        let mut vm = Vm::new(program.build_registry());
-        let injector = Rc::new(RefCell::new(InjectionHook::with_injection_point(ip)));
-        let masker = Rc::new(RefCell::new(MaskingHook::new(mask_set.clone())));
-        let chain = HookChain::new(vec![injector, masker]);
-        vm.set_hook(Some(Rc::new(RefCell::new(chain))));
-        let _ = program.run(&mut vm);
-        vm.set_hook(None);
-        inspect(&vm);
+    for strategy in STRATEGIES {
+        for ip in 1..=total {
+            let mut vm = Vm::new(program.build_registry());
+            let injector = Rc::new(RefCell::new(InjectionHook::with_injection_point(ip)));
+            vm.set_hook(Some(injector));
+            vm.set_inner_hook(Some(strategy.hook(wrapped.clone())));
+            let _ = program.run(&mut vm);
+            vm.set_hook(None);
+            inspect(&vm);
+        }
     }
 }
 
@@ -95,12 +98,16 @@ fn masked_queue_sizes_stay_consistent() {
     });
 }
 
-/// Masking preserves fault-free behaviour exactly: with wrappers installed
-/// but no injection, the driver produces identical object graphs.
+/// Masking preserves fault-free behaviour exactly: with wrappers of either
+/// strategy installed but no injection, the driver produces identical
+/// object graphs.
 #[test]
 fn masking_is_transparent_without_faults() {
     use atomask_suite::Snapshot;
-    for name in ["LLMap", "adaptorChain", "Dynarray"] {
+    for (name, strategy) in ["LLMap", "adaptorChain", "Dynarray"]
+        .into_iter()
+        .flat_map(|name| STRATEGIES.map(|s| (name, s)))
+    {
         let program = atomask_suite::apps::program_by_name(name).unwrap();
         let report = Pipeline::new(&program).max_points(1).run();
 
@@ -108,8 +115,7 @@ fn masking_is_transparent_without_faults() {
         program.run(&mut plain_vm).unwrap();
 
         let mut masked_vm = Vm::new(program.build_registry());
-        let masker = Rc::new(RefCell::new(MaskingHook::new(report.mask_set.clone())));
-        masked_vm.set_hook(Some(masker));
+        masked_vm.set_hook(Some(strategy.hook(&report.mask_set)));
         program.run(&mut masked_vm).unwrap();
 
         // Compare the graphs of all like-named class instances, pairwise
@@ -117,12 +123,16 @@ fn masking_is_transparent_without_faults() {
         let roots =
             |vm: &Vm| -> Vec<atomask_suite::ObjId> { vm.heap().iter().map(|(id, _)| id).collect() };
         let (a, b) = (roots(&plain_vm), roots(&masked_vm));
-        assert_eq!(a.len(), b.len(), "{name}: object population differs");
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "{name} ({strategy:?}): object population differs"
+        );
         for (&x, &y) in a.iter().zip(&b) {
             assert_eq!(
                 Snapshot::of(plain_vm.heap(), x),
                 Snapshot::of(masked_vm.heap(), y),
-                "{name}: object graph diverged under transparent masking"
+                "{name} ({strategy:?}): object graph diverged under transparent masking"
             );
         }
     }
