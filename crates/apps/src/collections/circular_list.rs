@@ -1,8 +1,8 @@
 //! The `CircularList` application: a circular doubly-linked list in the
 //! style of Doug Lea's `CircularList`/`CLCell`.
 
-use crate::util::{absorb, int, rooted};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 use super::linked_list::{INDEX_OOB, NO_SUCH_ELEMENT};
 
@@ -217,35 +217,35 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let ring = rooted(vm, "CircularList", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let ring = rooted(d, "CircularList", &[])?;
     let ring_id = ring.as_ref_id().expect("ref");
     for i in 0..5 {
-        vm.call(ring_id, "insertLast", &[int(i)])?;
+        d.call(ring_id, "insertLast", &[int(i)])?;
     }
     for i in 0..2 {
-        vm.call(ring_id, "insertFirst", &[int(100 + i)])?;
+        d.call(ring_id, "insertFirst", &[int(100 + i)])?;
     }
-    absorb(vm.call(ring_id, "rotate", &[]));
-    absorb(vm.call(ring_id, "removeFirst", &[]));
-    absorb(vm.call(ring_id, "removeLast", &[]));
+    d.call_absorbed(ring_id, "rotate", &[]);
+    d.call_absorbed(ring_id, "removeFirst", &[]);
+    d.call_absorbed(ring_id, "removeLast", &[]);
     for _ in 0..3 {
         for i in 0..5 {
-            absorb(vm.call(ring_id, "at", &[int(i)]));
+            d.call_absorbed(ring_id, "at", &[int(i)]);
         }
-        absorb(vm.call(ring_id, "first", &[]));
-        absorb(vm.call(ring_id, "last", &[]));
-        absorb(vm.call(ring_id, "contains", &[int(3)]));
-        absorb(vm.call(ring_id, "indexOf", &[int(101)]));
-        absorb(vm.call(ring_id, "size", &[]));
-        absorb(vm.call(ring_id, "checkInvariant", &[]));
-        absorb(vm.call(ring_id, "rotate", &[]));
+        d.call_absorbed(ring_id, "first", &[]);
+        d.call_absorbed(ring_id, "last", &[]);
+        d.call_absorbed(ring_id, "contains", &[int(3)]);
+        d.call_absorbed(ring_id, "indexOf", &[int(101)]);
+        d.call_absorbed(ring_id, "size", &[]);
+        d.call_absorbed(ring_id, "checkInvariant", &[]);
+        d.call_absorbed(ring_id, "rotate", &[]);
     }
     // Error paths.
-    absorb(vm.call(ring_id, "at", &[int(99)]));
-    absorb(vm.call(ring_id, "clear", &[]));
-    absorb(vm.call(ring_id, "first", &[]));
-    absorb(vm.call(ring_id, "isEmpty", &[]));
+    d.call_absorbed(ring_id, "at", &[int(99)]);
+    d.call_absorbed(ring_id, "clear", &[]);
+    d.call_absorbed(ring_id, "first", &[]);
+    d.call_absorbed(ring_id, "isEmpty", &[]);
     Ok(Value::Null)
 }
 
@@ -264,7 +264,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::{ObjId, Program};
+    use atomask_mor::{ObjId, Program, Vm};
 
     fn fresh() -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

@@ -5,8 +5,10 @@
 //! access, amortized growth, shifting inserts/removes) matches a classic
 //! `Dynarray`.
 
-use crate::util::{absorb, int, rooted};
-use atomask_mor::{Ctx, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted};
+use atomask_mor::{
+    Ctx, Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value,
+};
 
 use super::linked_list::INDEX_OOB;
 
@@ -193,32 +195,32 @@ fn slot_at(ctx: &mut Ctx<'_>, this: atomask_mor::ObjId, i: i64) -> MethodResult 
     nth_slot(ctx, slots, i)
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let arr = rooted(vm, "Dynarray", &[int(2)])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let arr = rooted(d, "Dynarray", &[int(2)])?;
     let a = arr.as_ref_id().expect("ref");
     for i in 0..6 {
-        vm.call(a, "append", &[int(i * 10)])?;
+        d.call(a, "append", &[int(i * 10)])?;
     }
-    absorb(vm.call(a, "insertAt", &[int(2), int(99)]));
-    absorb(vm.call(a, "removeAt", &[int(4)]));
-    absorb(vm.call(a, "setAt", &[int(0), int(-1)]));
-    absorb(vm.call(a, "trimToSize", &[]));
+    d.call_absorbed(a, "insertAt", &[int(2), int(99)]);
+    d.call_absorbed(a, "removeAt", &[int(4)]);
+    d.call_absorbed(a, "setAt", &[int(0), int(-1)]);
+    d.call_absorbed(a, "trimToSize", &[]);
     for _ in 0..3 {
         for i in 0..6 {
-            absorb(vm.call(a, "at", &[int(i)]));
+            d.call_absorbed(a, "at", &[int(i)]);
         }
-        absorb(vm.call(a, "contains", &[int(30)]));
-        absorb(vm.call(a, "indexOf", &[int(99)]));
-        absorb(vm.call(a, "size", &[]));
-        absorb(vm.call(a, "capacity", &[]));
-        absorb(vm.call(a, "isEmpty", &[]));
+        d.call_absorbed(a, "contains", &[int(30)]);
+        d.call_absorbed(a, "indexOf", &[int(99)]);
+        d.call_absorbed(a, "size", &[]);
+        d.call_absorbed(a, "capacity", &[]);
+        d.call_absorbed(a, "isEmpty", &[]);
     }
-    absorb(vm.call(a, "fill", &[int(7)]));
+    d.call_absorbed(a, "fill", &[int(7)]);
     // Error paths.
-    absorb(vm.call(a, "at", &[int(50)]));
-    absorb(vm.call(a, "removeAt", &[int(-3)]));
-    absorb(vm.call(a, "clear", &[]));
-    absorb(vm.call(a, "isEmpty", &[]));
+    d.call_absorbed(a, "at", &[int(50)]);
+    d.call_absorbed(a, "removeAt", &[int(-3)]);
+    d.call_absorbed(a, "clear", &[]);
+    d.call_absorbed(a, "isEmpty", &[]);
     Ok(Value::Null)
 }
 
@@ -237,7 +239,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::{ObjId, Program};
+    use atomask_mor::{ObjId, Program, Vm};
 
     fn fresh() -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

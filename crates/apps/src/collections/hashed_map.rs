@@ -8,9 +8,9 @@
 //! paper says "would probably not have been discovered without the
 //! automated exception injections".
 
-use crate::util::{absorb, int, rooted, s};
+use crate::util::{int, rooted, s};
 use atomask_mor::{
-    Ctx, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm,
+    Ctx, Driver, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value,
 };
 
 fn hash_value(v: &Value) -> i64 {
@@ -254,8 +254,8 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let map = rooted(vm, "HashedMap", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let map = rooted(d, "HashedMap", &[])?;
     let m = map.as_ref_id().expect("ref");
     // Enough puts to cross the initial threshold and trigger a rehash.
     for (i, k) in [
@@ -264,22 +264,22 @@ fn driver(vm: &mut Vm) -> MethodResult {
     .iter()
     .enumerate()
     {
-        vm.call(m, "put", &[s(k), int(i as i64)])?;
+        d.call(m, "put", &[s(k), int(i as i64)])?;
     }
-    vm.call(m, "put", &[s("beta"), int(200)])?;
-    absorb(vm.call(m, "remove", &[s("gamma")]));
-    absorb(vm.call(m, "remove", &[s("missing")]));
+    d.call(m, "put", &[s("beta"), int(200)])?;
+    d.call_absorbed(m, "remove", &[s("gamma")]);
+    d.call_absorbed(m, "remove", &[s("missing")]);
     for _ in 0..2 {
         for k in ["alpha", "beta", "delta", "missing"] {
-            absorb(vm.call(m, "get", &[s(k)]));
-            absorb(vm.call(m, "containsKey", &[s(k)]));
+            d.call_absorbed(m, "get", &[s(k)]);
+            d.call_absorbed(m, "containsKey", &[s(k)]);
         }
-        absorb(vm.call(m, "size", &[]));
-        absorb(vm.call(m, "isEmpty", &[]));
-        absorb(vm.call(m, "checkInvariant", &[]));
+        d.call_absorbed(m, "size", &[]);
+        d.call_absorbed(m, "isEmpty", &[]);
+        d.call_absorbed(m, "checkInvariant", &[]);
     }
-    absorb(vm.call(m, "clear", &[]));
-    absorb(vm.call(m, "isEmpty", &[]));
+    d.call_absorbed(m, "clear", &[]);
+    d.call_absorbed(m, "isEmpty", &[]);
     Ok(Value::Null)
 }
 
@@ -298,7 +298,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::Program;
+    use atomask_mor::{Program, Vm};
 
     fn fresh() -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

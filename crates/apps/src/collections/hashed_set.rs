@@ -1,9 +1,9 @@
 //! The `HashedSet` application: a chained hash set sharing the bucket
 //! design of [`super::hashed_map`], plus set-algebra operations.
 
-use crate::util::{absorb, int, rooted};
+use crate::util::{int, rooted};
 use atomask_mor::{
-    Ctx, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm,
+    Ctx, Driver, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value,
 };
 
 fn hash_value(v: &Value) -> i64 {
@@ -238,32 +238,32 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let set = rooted(vm, "HashedSet", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let set = rooted(d, "HashedSet", &[])?;
     let a = set.as_ref_id().expect("ref");
     for i in 0..9 {
-        vm.call(a, "add", &[int(i)])?;
+        d.call(a, "add", &[int(i)])?;
     }
-    vm.call(a, "add", &[int(3)])?; // duplicate
-    absorb(vm.call(a, "remove", &[int(5)]));
-    absorb(vm.call(a, "remove", &[int(99)]));
-    let other = rooted(vm, "HashedSet", &[])?;
+    d.call(a, "add", &[int(3)])?; // duplicate
+    d.call_absorbed(a, "remove", &[int(5)]);
+    d.call_absorbed(a, "remove", &[int(99)]);
+    let other = rooted(d, "HashedSet", &[])?;
     let b = other.as_ref_id().expect("ref");
     for i in [1, 3, 5, 7, 11] {
-        vm.call(b, "add", &[int(i)])?;
+        d.call(b, "add", &[int(i)])?;
     }
-    vm.call(a, "addAll", &[other.clone()])?;
-    vm.call(a, "retainAll", &[other])?;
+    d.call(a, "addAll", &[other.clone()])?;
+    d.call(a, "retainAll", &[other])?;
     for _ in 0..2 {
         for i in [1, 3, 7, 42] {
-            absorb(vm.call(a, "contains", &[int(i)]));
+            d.call_absorbed(a, "contains", &[int(i)]);
         }
-        absorb(vm.call(a, "size", &[]));
-        absorb(vm.call(a, "isEmpty", &[]));
-        absorb(vm.call(a, "checkInvariant", &[]));
+        d.call_absorbed(a, "size", &[]);
+        d.call_absorbed(a, "isEmpty", &[]);
+        d.call_absorbed(a, "checkInvariant", &[]);
     }
-    absorb(vm.call(b, "clear", &[]));
-    absorb(vm.call(b, "isEmpty", &[]));
+    d.call_absorbed(b, "clear", &[]);
+    d.call_absorbed(b, "isEmpty", &[]);
     Ok(Value::Null)
 }
 
@@ -283,7 +283,7 @@ pub fn build_registry() -> Registry {
 mod tests {
     use super::*;
     use crate::util::s;
-    use atomask_mor::Program;
+    use atomask_mor::{Program, Vm};
 
     fn fresh() -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

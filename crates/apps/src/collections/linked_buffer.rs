@@ -1,8 +1,8 @@
 //! The `LinkedBuffer` application: a chunked string buffer in the style of
 //! Doug Lea's `LinkedBuffer`.
 
-use crate::util::{absorb, int, rooted, s};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted, s};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 fn register(rb: &mut RegistryBuilder) {
     rb.class("Chunk", |c| {
@@ -176,29 +176,29 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let buf = rooted(vm, "LinkedBuffer", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let buf = rooted(d, "LinkedBuffer", &[])?;
     let b = buf.as_ref_id().expect("ref");
     for word in ["hello", " ", "world", "!", " ", "abc"] {
-        vm.call(b, "append", &[s(word)])?;
+        d.call(b, "append", &[s(word)])?;
     }
-    vm.call(b, "prepend", &[s(">> ")])?;
-    absorb(vm.call(b, "dropFirst", &[]));
-    absorb(vm.call(b, "compact", &[]));
-    let other = rooted(vm, "LinkedBuffer", &[])?;
+    d.call(b, "prepend", &[s(">> ")])?;
+    d.call_absorbed(b, "dropFirst", &[]);
+    d.call_absorbed(b, "compact", &[]);
+    let other = rooted(d, "LinkedBuffer", &[])?;
     let o = other.as_ref_id().expect("ref");
-    vm.call(o, "append", &[s("tail")])?;
-    vm.call(b, "appendBuffer", &[other])?;
+    d.call(o, "append", &[s("tail")])?;
+    d.call(b, "appendBuffer", &[other])?;
     for _ in 0..3 {
-        absorb(vm.call(b, "toStr", &[]));
-        absorb(vm.call(b, "length", &[]));
-        absorb(vm.call(b, "chunkCount", &[]));
-        absorb(vm.call(b, "firstChunk", &[]));
-        absorb(vm.call(b, "isEmpty", &[]));
-        absorb(vm.call(b, "checkInvariant", &[]));
+        d.call_absorbed(b, "toStr", &[]);
+        d.call_absorbed(b, "length", &[]);
+        d.call_absorbed(b, "chunkCount", &[]);
+        d.call_absorbed(b, "firstChunk", &[]);
+        d.call_absorbed(b, "isEmpty", &[]);
+        d.call_absorbed(b, "checkInvariant", &[]);
     }
-    absorb(vm.call(o, "clear", &[]));
-    absorb(vm.call(b, "dropFirst", &[]));
+    d.call_absorbed(o, "clear", &[]);
+    d.call_absorbed(b, "dropFirst", &[]);
     Ok(Value::Null)
 }
 
@@ -217,7 +217,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::{ObjId, Program};
+    use atomask_mor::{ObjId, Program, Vm};
 
     fn fresh() -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

@@ -16,9 +16,9 @@
 //!   paper's 18 → 3 reduction (the annotations even rescue `reverse` and
 //!   `removeLast`, whose only post-mutation calls are cell accessors).
 
-use crate::util::{absorb, int, rooted};
+use crate::util::{int, rooted};
 use atomask_mor::{
-    Ctx, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm,
+    Ctx, Driver, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm,
 };
 
 /// Exception thrown by element accessors on empty lists / bad indices.
@@ -480,61 +480,60 @@ fn register_fixed(rb: &mut RegistryBuilder) {
 }
 
 /// The shared deterministic driver (the paper's test program `P`).
-fn driver(vm: &mut Vm) -> MethodResult {
-    let list = rooted(vm, "LinkedList", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let list = rooted(d, "LinkedList", &[])?;
     let list_id = list.as_ref_id().expect("rooted returns a ref");
     for i in 0..6 {
-        vm.call(list_id, "insertLast", &[int(i)])?;
+        d.call(list_id, "insertLast", &[int(i)])?;
     }
     for i in 0..3 {
-        vm.call(list_id, "insertFirst", &[int(100 + i)])?;
+        d.call(list_id, "insertFirst", &[int(100 + i)])?;
     }
-    absorb(vm.call(list_id, "insertAt", &[int(2), int(55)]));
-    absorb(vm.call(list_id, "removeAt", &[int(3)]));
-    absorb(vm.call(list_id, "removeValue", &[int(4)]));
-    absorb(vm.call(list_id, "swap", &[int(0), int(5)]));
-    absorb(vm.call(list_id, "removeFirst", &[]));
-    absorb(vm.call(list_id, "removeLast", &[]));
-    absorb(vm.call(list_id, "reverse", &[]));
+    d.call_absorbed(list_id, "insertAt", &[int(2), int(55)]);
+    d.call_absorbed(list_id, "removeAt", &[int(3)]);
+    d.call_absorbed(list_id, "removeValue", &[int(4)]);
+    d.call_absorbed(list_id, "swap", &[int(0), int(5)]);
+    d.call_absorbed(list_id, "removeFirst", &[]);
+    d.call_absorbed(list_id, "removeLast", &[]);
+    d.call_absorbed(list_id, "reverse", &[]);
     // Exception-handling paths of the original program.
-    absorb(vm.call(list_id, "at", &[int(99)]));
-    absorb(vm.call(list_id, "removeAt", &[int(-1)]));
+    d.call_absorbed(list_id, "at", &[int(99)]);
+    d.call_absorbed(list_id, "removeAt", &[int(-1)]);
     // Queue/stack aliases.
-    vm.call(list_id, "push", &[int(7)])?;
-    absorb(vm.call(list_id, "pop", &[]));
-    vm.call(list_id, "enqueue", &[int(8)])?;
-    absorb(vm.call(list_id, "dequeue", &[]));
+    d.call(list_id, "push", &[int(7)])?;
+    d.call_absorbed(list_id, "pop", &[]);
+    d.call(list_id, "enqueue", &[int(8)])?;
+    d.call_absorbed(list_id, "dequeue", &[]);
     // A second list to extend from.
-    let other = rooted(vm, "LinkedList", &[])?;
+    let other = rooted(d, "LinkedList", &[])?;
     let other_id = other.as_ref_id().expect("ref");
     for i in 0..3 {
-        vm.call(other_id, "insertLast", &[int(200 + i)])?;
+        d.call(other_id, "insertLast", &[int(200 + i)])?;
     }
-    vm.call(list_id, "extend", &[other])?;
-    absorb(vm.call(list_id, "checkInvariant", &[]));
-    absorb(vm.call(other_id, "clear", &[]));
+    d.call(list_id, "extend", &[other])?;
+    d.call_absorbed(list_id, "checkInvariant", &[]);
+    d.call_absorbed(other_id, "clear", &[]);
     // Reads dominate the workload, as in real use.
     for _ in 0..4 {
         for i in 0..9 {
-            absorb(vm.call(list_id, "at", &[int(i)]));
+            d.call_absorbed(list_id, "at", &[int(i)]);
         }
-        absorb(vm.call(list_id, "contains", &[int(4)]));
-        absorb(vm.call(list_id, "indexOf", &[int(102)]));
-        absorb(vm.call(list_id, "count", &[int(1)]));
-        absorb(vm.call(list_id, "first", &[]));
-        absorb(vm.call(list_id, "last", &[]));
-        absorb(vm.call(list_id, "size", &[]));
-        absorb(vm.call(list_id, "isEmpty", &[]));
-        absorb(vm.call(list_id, "checkInvariant", &[]));
+        d.call_absorbed(list_id, "contains", &[int(4)]);
+        d.call_absorbed(list_id, "indexOf", &[int(102)]);
+        d.call_absorbed(list_id, "count", &[int(1)]);
+        d.call_absorbed(list_id, "first", &[]);
+        d.call_absorbed(list_id, "last", &[]);
+        d.call_absorbed(list_id, "size", &[]);
+        d.call_absorbed(list_id, "isEmpty", &[]);
+        d.call_absorbed(list_id, "checkInvariant", &[]);
     }
     // Drain to empty and hit the empty-list error paths.
-    while vm.call(list_id, "removeFirst", &[]).is_ok() {
-        // Replay-aware read: checkpoint-resume retraces this loop.
-        if vm.field(list_id, "size") == Some(int(0)) {
+    while d.call(list_id, "removeFirst", &[]).is_ok() {
+        if d.field(list_id, "size") == Some(int(0)) {
             break;
         }
     }
-    absorb(vm.call(list_id, "first", &[]));
+    d.call_absorbed(list_id, "first", &[]);
     Ok(Value::Null)
 }
 

@@ -1,8 +1,10 @@
 //! The `LLMap` application: a linked-list map (association list) in the
 //! style of Doug Lea's `LLMap`.
 
-use crate::util::{absorb, int, rooted, s};
-use atomask_mor::{Ctx, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted, s};
+use atomask_mor::{
+    Ctx, Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value,
+};
 
 /// Exception thrown by `firstKey` on an empty map.
 pub const NO_SUCH_ELEMENT: &str = "NoSuchElementException";
@@ -164,32 +166,32 @@ fn find_pair(ctx: &mut Ctx<'_>, this: atomask_mor::ObjId, key: &Value) -> Method
     Ok(Value::Null)
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let map = rooted(vm, "LLMap", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let map = rooted(d, "LLMap", &[])?;
     let m = map.as_ref_id().expect("ref");
     for (k, v) in [("one", 1), ("two", 2), ("three", 3), ("four", 4)] {
-        vm.call(m, "put", &[s(k), int(v)])?;
+        d.call(m, "put", &[s(k), int(v)])?;
     }
-    vm.call(m, "put", &[s("two"), int(22)])?;
-    absorb(vm.call(m, "remove", &[s("three")]));
-    absorb(vm.call(m, "remove", &[s("nope")]));
-    let other = rooted(vm, "LLMap", &[])?;
+    d.call(m, "put", &[s("two"), int(22)])?;
+    d.call_absorbed(m, "remove", &[s("three")]);
+    d.call_absorbed(m, "remove", &[s("nope")]);
+    let other = rooted(d, "LLMap", &[])?;
     let o = other.as_ref_id().expect("ref");
-    vm.call(o, "put", &[s("five"), int(5)])?;
-    vm.call(m, "putAll", &[other])?;
+    d.call(o, "put", &[s("five"), int(5)])?;
+    d.call(m, "putAll", &[other])?;
     for _ in 0..3 {
         for k in ["one", "two", "four", "five", "missing"] {
-            absorb(vm.call(m, "get", &[s(k)]));
-            absorb(vm.call(m, "containsKey", &[s(k)]));
+            d.call_absorbed(m, "get", &[s(k)]);
+            d.call_absorbed(m, "containsKey", &[s(k)]);
         }
-        absorb(vm.call(m, "containsValue", &[int(22)]));
-        absorb(vm.call(m, "size", &[]));
-        absorb(vm.call(m, "firstKey", &[]));
-        absorb(vm.call(m, "checkInvariant", &[]));
+        d.call_absorbed(m, "containsValue", &[int(22)]);
+        d.call_absorbed(m, "size", &[]);
+        d.call_absorbed(m, "firstKey", &[]);
+        d.call_absorbed(m, "checkInvariant", &[]);
     }
-    absorb(vm.call(o, "clear", &[]));
-    absorb(vm.call(o, "firstKey", &[])); // empty-map error path
-    absorb(vm.call(m, "isEmpty", &[]));
+    d.call_absorbed(o, "clear", &[]);
+    d.call_absorbed(o, "firstKey", &[]); // empty-map error path
+    d.call_absorbed(m, "isEmpty", &[]);
     Ok(Value::Null)
 }
 
@@ -208,7 +210,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::{ObjId, Program};
+    use atomask_mor::{ObjId, Program, Vm};
 
     fn fresh() -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

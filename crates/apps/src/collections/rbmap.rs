@@ -11,8 +11,10 @@ use super::rbcore::{
     delete_entry, fix_after_insertion, get_node, key_of, left_of, min_node, rb_invariant,
     register_node, right_of, BLACK,
 };
-use crate::util::{absorb, int, rooted};
-use atomask_mor::{FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted};
+use atomask_mor::{
+    Driver, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm,
+};
 
 fn register(rb: &mut RegistryBuilder) {
     register_node(rb, "RBNode");
@@ -120,29 +122,29 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let map = rooted(vm, "RBMap", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let map = rooted(d, "RBMap", &[])?;
     let m = map.as_ref_id().expect("ref");
     // Keys in an order that exercises every rebalancing case.
     for k in [50, 20, 70, 10, 30, 60, 90, 5, 25, 35, 80] {
-        vm.call(m, "put", &[int(k), int(k * 10)])?;
+        d.call(m, "put", &[int(k), int(k * 10)])?;
     }
-    vm.call(m, "put", &[int(30), int(999)])?; // update
-    absorb(vm.call(m, "remove", &[int(20)])); // internal node
-    absorb(vm.call(m, "remove", &[int(90)])); // near-leaf
-    absorb(vm.call(m, "remove", &[int(123)])); // missing
+    d.call(m, "put", &[int(30), int(999)])?; // update
+    d.call_absorbed(m, "remove", &[int(20)]); // internal node
+    d.call_absorbed(m, "remove", &[int(90)]); // near-leaf
+    d.call_absorbed(m, "remove", &[int(123)]); // missing
     for _ in 0..2 {
         for k in [5, 25, 35, 50, 60, 123] {
-            absorb(vm.call(m, "get", &[int(k)]));
-            absorb(vm.call(m, "containsKey", &[int(k)]));
+            d.call_absorbed(m, "get", &[int(k)]);
+            d.call_absorbed(m, "containsKey", &[int(k)]);
         }
-        absorb(vm.call(m, "firstKey", &[]));
-        absorb(vm.call(m, "lastKey", &[]));
-        absorb(vm.call(m, "size", &[]));
-        absorb(vm.call(m, "isEmpty", &[]));
+        d.call_absorbed(m, "firstKey", &[]);
+        d.call_absorbed(m, "lastKey", &[]);
+        d.call_absorbed(m, "size", &[]);
+        d.call_absorbed(m, "isEmpty", &[]);
     }
-    absorb(vm.call(m, "clear", &[]));
-    absorb(vm.call(m, "firstKey", &[])); // empty error path
+    d.call_absorbed(m, "clear", &[]);
+    d.call_absorbed(m, "firstKey", &[]); // empty error path
     Ok(Value::Null)
 }
 

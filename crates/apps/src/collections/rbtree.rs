@@ -6,8 +6,10 @@ use super::rbcore::{
     delete_entry, fix_after_insertion, get_node, key_of, left_of, min_node, rb_invariant,
     register_node, right_of, BLACK,
 };
-use crate::util::{absorb, int, rooted};
-use atomask_mor::{FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted};
+use atomask_mor::{
+    Driver, FnProgram, MethodResult, ObjId, Profile, Registry, RegistryBuilder, Value, Vm,
+};
 
 fn register(rb: &mut RegistryBuilder) {
     register_node(rb, "TNode");
@@ -150,34 +152,34 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let tree = rooted(vm, "RBTree", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let tree = rooted(d, "RBTree", &[])?;
     let t = tree.as_ref_id().expect("ref");
     for k in [8, 3, 12, 1, 6, 10, 14, 4, 7, 13] {
-        vm.call(t, "add", &[int(k)])?;
+        d.call(t, "add", &[int(k)])?;
     }
-    vm.call(t, "add", &[int(6)])?; // duplicate
-    absorb(vm.call(t, "remove", &[int(3)]));
-    absorb(vm.call(t, "remove", &[int(14)]));
-    absorb(vm.call(t, "remove", &[int(99)]));
-    let other = rooted(vm, "RBTree", &[])?;
+    d.call(t, "add", &[int(6)])?; // duplicate
+    d.call_absorbed(t, "remove", &[int(3)]);
+    d.call_absorbed(t, "remove", &[int(14)]);
+    d.call_absorbed(t, "remove", &[int(99)]);
+    let other = rooted(d, "RBTree", &[])?;
     let o = other.as_ref_id().expect("ref");
     for k in [2, 6, 20] {
-        vm.call(o, "add", &[int(k)])?;
+        d.call(o, "add", &[int(k)])?;
     }
-    vm.call(t, "addAll", &[other])?;
+    d.call(t, "addAll", &[other])?;
     for _ in 0..2 {
         for k in [1, 4, 7, 20, 99] {
-            absorb(vm.call(t, "contains", &[int(k)]));
+            d.call_absorbed(t, "contains", &[int(k)]);
         }
-        absorb(vm.call(t, "min", &[]));
-        absorb(vm.call(t, "max", &[]));
-        absorb(vm.call(t, "countRange", &[int(4), int(12)]));
-        absorb(vm.call(t, "size", &[]));
-        absorb(vm.call(t, "isEmpty", &[]));
+        d.call_absorbed(t, "min", &[]);
+        d.call_absorbed(t, "max", &[]);
+        d.call_absorbed(t, "countRange", &[int(4), int(12)]);
+        d.call_absorbed(t, "size", &[]);
+        d.call_absorbed(t, "isEmpty", &[]);
     }
-    absorb(vm.call(o, "clear", &[]));
-    absorb(vm.call(o, "min", &[])); // empty error path
+    d.call_absorbed(o, "clear", &[]);
+    d.call_absorbed(o, "min", &[]); // empty error path
     Ok(Value::Null)
 }
 

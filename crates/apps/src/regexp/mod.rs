@@ -18,8 +18,10 @@
 //!
 //! Supported syntax: literals, `.`, `*`, `?`, `|`, and `(...)` grouping.
 
-use crate::util::{absorb, int, rooted, s};
-use atomask_mor::{Ctx, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted, s};
+use atomask_mor::{
+    Ctx, Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value,
+};
 
 /// Exception thrown on malformed patterns.
 pub const SYNTAX_ERROR: &str = "RESyntaxException";
@@ -408,32 +410,32 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
+fn driver(d: &mut Driver<'_>) -> MethodResult {
     // Compile a handful of patterns.
-    let ab_star = rooted(vm, "RegExp", &[s("a(b|c)*d?")])?;
+    let ab_star = rooted(d, "RegExp", &[s("a(b|c)*d?")])?;
     let re1 = ab_star.as_ref_id().expect("ref");
     for input in ["ad", "abcbd", "a", "abx", ""] {
-        absorb(vm.call(re1, "matches", &[s(input)]));
+        d.call_absorbed(re1, "matches", &[s(input)]);
     }
-    let any = rooted(vm, "RegExp", &[s("x.z")])?;
+    let any = rooted(d, "RegExp", &[s("x.z")])?;
     let re2 = any.as_ref_id().expect("ref");
     for input in ["xyz", "xz", "xaz"] {
-        absorb(vm.call(re2, "matches", &[s(input)]));
-        absorb(vm.call(re2, "search", &[s(input)]));
+        d.call_absorbed(re2, "matches", &[s(input)]);
+        d.call_absorbed(re2, "search", &[s(input)]);
     }
-    absorb(vm.call(re2, "search", &[s("prefix-xqz-suffix")]));
+    d.call_absorbed(re2, "search", &[s("prefix-xqz-suffix")]);
     // Malformed patterns exercise the parser's error paths.
-    if let Ok(id) = vm.construct("RegExp", &[s("a(b")]) {
-        vm.root(id);
+    if let Ok(id) = d.construct("RegExp", &[s("a(b")]) {
+        d.root(id);
     }
-    if let Ok(id) = vm.construct("RegExp", &[s("*oops")]) {
-        vm.root(id);
+    if let Ok(id) = d.construct("RegExp", &[s("*oops")]) {
+        d.root(id);
     }
     // A tight budget exercises the overflow path.
-    let tight = rooted(vm, "RegExp", &[s("(a*)*b")])?;
+    let tight = rooted(d, "RegExp", &[s("(a*)*b")])?;
     let re3 = tight.as_ref_id().expect("ref");
-    vm.call(re3, "setBudget", &[int(50)])?;
-    absorb(vm.call(re3, "matches", &[s("aaaaaaaaaaaaaaaa")]));
+    d.call(re3, "setBudget", &[int(50)])?;
+    d.call_absorbed(re3, "matches", &[s("aaaaaaaaaaaaaaaa")]);
     Ok(Value::Null)
 }
 
@@ -452,8 +454,8 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::ObjId;
     use atomask_mor::Program;
+    use atomask_mor::{ObjId, Vm};
 
     fn compile(vm: &mut Vm, pattern: &str) -> ObjId {
         let re = vm.construct("RegExp", &[s(pattern)]).unwrap();

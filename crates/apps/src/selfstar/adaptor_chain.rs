@@ -2,8 +2,8 @@
 //! fed by a source component.
 
 use super::component::{register_adaptors, register_channel, register_sink};
-use crate::util::{absorb, int, rooted};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 fn register(rb: &mut RegistryBuilder) {
     register_channel(rb);
@@ -38,44 +38,44 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
+fn driver(d: &mut Driver<'_>) -> MethodResult {
     // sink <- clamp <- doubler <- offset <- source
-    let sink = rooted(vm, "Sink", &[])?;
-    let ch_sink = rooted(vm, "Channel", &[sink.clone()])?;
-    let clamp = rooted(vm, "Clamp", &[ch_sink])?;
+    let sink = rooted(d, "Sink", &[])?;
+    let ch_sink = rooted(d, "Channel", &[sink.clone()])?;
+    let clamp = rooted(d, "Clamp", &[ch_sink])?;
     let clamp_id = clamp.as_ref_id().expect("ref");
-    vm.call(clamp_id, "reconfigure", &[int(0), int(40)])?;
-    let ch_clamp = rooted(vm, "Channel", &[clamp])?;
-    let doubler = rooted(vm, "Doubler", &[ch_clamp])?;
-    let ch_doubler = rooted(vm, "Channel", &[doubler.clone()])?;
-    let offset = rooted(vm, "Offset", &[ch_doubler, int(5)])?;
-    let ch_offset = rooted(vm, "Channel", &[offset.clone()])?;
-    let source = rooted(vm, "Source", &[ch_offset])?;
+    d.call(clamp_id, "reconfigure", &[int(0), int(40)])?;
+    let ch_clamp = rooted(d, "Channel", &[clamp])?;
+    let doubler = rooted(d, "Doubler", &[ch_clamp])?;
+    let ch_doubler = rooted(d, "Channel", &[doubler.clone()])?;
+    let offset = rooted(d, "Offset", &[ch_doubler, int(5)])?;
+    let ch_offset = rooted(d, "Channel", &[offset.clone()])?;
+    let source = rooted(d, "Source", &[ch_offset])?;
     let source_id = source.as_ref_id().expect("ref");
 
-    vm.call(source_id, "emitRange", &[int(0), int(12)])?;
+    d.call(source_id, "emitRange", &[int(0), int(12)])?;
     for i in [100, -7, 3] {
-        absorb(vm.call(source_id, "emit", &[int(i)]));
+        d.call_absorbed(source_id, "emit", &[int(i)]);
     }
     // A bad reconfiguration exercises the error path, then it is repaired.
-    absorb(vm.call(clamp_id, "reconfigure", &[int(50), int(10)]));
-    absorb(vm.call(clamp_id, "reconfigure", &[int(0), int(100)]));
-    vm.call(source_id, "emitRange", &[int(12), int(18)])?;
+    d.call_absorbed(clamp_id, "reconfigure", &[int(50), int(10)]);
+    d.call_absorbed(clamp_id, "reconfigure", &[int(0), int(100)]);
+    d.call(source_id, "emitRange", &[int(12), int(18)])?;
 
     let sink_id = sink.as_ref_id().expect("ref");
     for _ in 0..3 {
-        absorb(vm.call(sink_id, "received", &[]));
-        absorb(vm.call(sink_id, "sum", &[]));
-        absorb(vm.call(sink_id, "last", &[]));
-        absorb(vm.call(source_id, "produced", &[]));
-        absorb(vm.call(clamp_id, "processed", &[]));
-        absorb(vm.call(clamp_id, "clamped", &[]));
-        let d = doubler.as_ref_id().expect("ref");
-        absorb(vm.call(d, "processed", &[]));
+        d.call_absorbed(sink_id, "received", &[]);
+        d.call_absorbed(sink_id, "sum", &[]);
+        d.call_absorbed(sink_id, "last", &[]);
+        d.call_absorbed(source_id, "produced", &[]);
+        d.call_absorbed(clamp_id, "processed", &[]);
+        d.call_absorbed(clamp_id, "clamped", &[]);
+        let dbl = doubler.as_ref_id().expect("ref");
+        d.call_absorbed(dbl, "processed", &[]);
         let o = offset.as_ref_id().expect("ref");
-        absorb(vm.call(o, "processed", &[]));
+        d.call_absorbed(o, "processed", &[]);
     }
-    absorb(vm.call(sink_id, "reset", &[]));
+    d.call_absorbed(sink_id, "reset", &[]);
     Ok(Value::Null)
 }
 
@@ -94,7 +94,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::Program;
+    use atomask_mor::{Program, Vm};
 
     #[test]
     fn chain_transforms_values_in_order() {

@@ -6,8 +6,8 @@
 //! operations contain no injectable calls after their first mutation and
 //! are failure atomic by construction.
 
-use crate::util::{absorb, int, rooted};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 /// Exception thrown by `enqueue` on a full queue.
 pub const QUEUE_FULL: &str = "QueueFullError";
@@ -158,35 +158,35 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let queue = rooted(vm, "StdQueue", &[int(8)])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let queue = rooted(d, "StdQueue", &[int(8)])?;
     let q = queue.as_ref_id().expect("ref");
-    let producer = rooted(vm, "Producer", &[queue.clone()])?;
+    let producer = rooted(d, "Producer", &[queue.clone()])?;
     let p = producer.as_ref_id().expect("ref");
-    let consumer = rooted(vm, "Consumer", &[queue])?;
+    let consumer = rooted(d, "Consumer", &[queue])?;
     let c = consumer.as_ref_id().expect("ref");
 
     for round in 0..3 {
-        vm.call(p, "produceBatch", &[int(round * 10), int(6)])?;
-        absorb(vm.call(q, "peek", &[]));
-        absorb(vm.call(q, "size", &[]));
-        vm.call(c, "drainAll", &[])?;
+        d.call(p, "produceBatch", &[int(round * 10), int(6)])?;
+        d.call_absorbed(q, "peek", &[]);
+        d.call_absorbed(q, "size", &[]);
+        d.call(c, "drainAll", &[])?;
     }
     // Overflow round: 12 items into a capacity-8 queue.
-    vm.call(p, "produceBatch", &[int(100), int(12)])?;
-    absorb(vm.call(p, "rejected", &[]));
-    vm.call(c, "drainAll", &[])?;
+    d.call(p, "produceBatch", &[int(100), int(12)])?;
+    d.call_absorbed(p, "rejected", &[]);
+    d.call(c, "drainAll", &[])?;
     // Empty-queue error paths.
-    absorb(vm.call(q, "dequeue", &[]));
-    absorb(vm.call(q, "peek", &[]));
+    d.call_absorbed(q, "dequeue", &[]);
+    d.call_absorbed(q, "peek", &[]);
     for _ in 0..2 {
-        absorb(vm.call(p, "produced", &[]));
-        absorb(vm.call(c, "consumed", &[]));
-        absorb(vm.call(c, "total", &[]));
-        absorb(vm.call(q, "isEmpty", &[]));
-        absorb(vm.call(q, "capacity", &[]));
+        d.call_absorbed(p, "produced", &[]);
+        d.call_absorbed(c, "consumed", &[]);
+        d.call_absorbed(c, "total", &[]);
+        d.call_absorbed(q, "isEmpty", &[]);
+        d.call_absorbed(q, "capacity", &[]);
     }
-    absorb(vm.call(q, "clear", &[]));
+    d.call_absorbed(q, "clear", &[]);
     Ok(Value::Null)
 }
 
@@ -205,7 +205,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::{ObjId, Program};
+    use atomask_mor::{ObjId, Program, Vm};
 
     fn fresh(cap: i64) -> (Vm, ObjId) {
         let mut vm = Vm::new(build_registry());

@@ -3,8 +3,8 @@
 
 use super::transport::{register_transport, CONN_ERROR};
 use super::xml::register_xml;
-use crate::util::{absorb, int, rooted, s};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted, s};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 fn register(rb: &mut RegistryBuilder) {
     register_xml(rb);
@@ -64,33 +64,33 @@ const DOCS: [&str; 3] = [
     r#"<report><line>alpha</line><line>beta</line></report>"#,
 ];
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let parser = rooted(vm, "XmlParser", &[s("")])?;
-    let writer = rooted(vm, "XmlWriter", &[])?;
-    let conn = rooted(vm, "TcpConn", &[])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let parser = rooted(d, "XmlParser", &[s("")])?;
+    let writer = rooted(d, "XmlWriter", &[])?;
+    let conn = rooted(d, "TcpConn", &[])?;
     let conn_id = conn.as_ref_id().expect("ref");
-    let pump = rooted(vm, "XmlTcpPump", &[parser, writer, conn])?;
+    let pump = rooted(d, "XmlTcpPump", &[parser, writer, conn])?;
     let pump_id = pump.as_ref_id().expect("ref");
 
-    vm.call(conn_id, "connect", &[])?;
+    d.call(conn_id, "connect", &[])?;
     for doc in DOCS {
-        vm.call(pump_id, "processDoc", &[s(doc)])?;
+        d.call(pump_id, "processDoc", &[s(doc)])?;
     }
     // Malformed document: parse failure handled by the operator (driver).
-    absorb(vm.call(pump_id, "processDoc", &[s("<broken")]));
+    d.call_absorbed(pump_id, "processDoc", &[s("<broken")]);
     // Connection drop mid-stream → failed send → recovery path.
-    vm.call(conn_id, "close", &[])?;
-    absorb(vm.call(pump_id, "processDoc", &[s(DOCS[1])]));
-    absorb(vm.call(pump_id, "recover", &[]));
-    vm.call(pump_id, "processDoc", &[s(DOCS[1])])?;
+    d.call(conn_id, "close", &[])?;
+    d.call_absorbed(pump_id, "processDoc", &[s(DOCS[1])]);
+    d.call_absorbed(pump_id, "recover", &[]);
+    d.call(pump_id, "processDoc", &[s(DOCS[1])])?;
     for _ in 0..2 {
-        absorb(vm.call(pump_id, "docs", &[]));
-        absorb(vm.call(pump_id, "failures", &[]));
-        absorb(vm.call(conn_id, "sent", &[]));
-        absorb(vm.call(conn_id, "bytes", &[]));
-        absorb(vm.call(conn_id, "isOpen", &[]));
+        d.call_absorbed(pump_id, "docs", &[]);
+        d.call_absorbed(pump_id, "failures", &[]);
+        d.call_absorbed(conn_id, "sent", &[]);
+        d.call_absorbed(conn_id, "bytes", &[]);
+        d.call_absorbed(conn_id, "isOpen", &[]);
     }
-    vm.call(conn_id, "drainAck", &[])?;
+    d.call(conn_id, "drainAck", &[])?;
     Ok(Value::Null)
 }
 
@@ -109,7 +109,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::Program;
+    use atomask_mor::{Program, Vm};
 
     #[test]
     fn pump_sends_compact_documents() {

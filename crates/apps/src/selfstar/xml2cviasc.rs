@@ -18,8 +18,8 @@
 
 use super::component::{register_adaptors, register_channel, register_sink};
 use super::xml::register_xml;
-use crate::util::{absorb, int, rooted, s};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted, s};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 /// Exception thrown on unknown component kinds in the configuration.
 pub const CONFIG_ERROR: &str = "ConfigError";
@@ -183,54 +183,52 @@ fn register(rb: &mut RegistryBuilder) {
 const CONFIG_V1: &str = r#"<chain><offset delta="5"/><doubler/><clamp lo="0" hi="60"/></chain>"#;
 const CONFIG_V2: &str = r#"<chain><doubler/><offset delta="-1"/></chain>"#;
 
-fn driver_v1(vm: &mut Vm) -> MethodResult {
-    let parser = rooted(vm, "XmlParser", &[s("")])?;
-    let builder = rooted(vm, "ChainBuilder", &[])?;
+fn driver_v1(d: &mut Driver<'_>) -> MethodResult {
+    let parser = rooted(d, "XmlParser", &[s("")])?;
+    let builder = rooted(d, "ChainBuilder", &[])?;
     let b = builder.as_ref_id().expect("ref");
-    let app = rooted(vm, "Xml2Csc", &[parser, builder])?;
+    let app = rooted(d, "Xml2Csc", &[parser, builder])?;
     let a = app.as_ref_id().expect("ref");
-    vm.call(a, "configure", &[s(CONFIG_V1)])?;
-    absorb(vm.call(b, "validate", &[]));
-    vm.call(a, "processBatch", &[int(0), int(15)])?;
+    d.call(a, "configure", &[s(CONFIG_V1)])?;
+    d.call_absorbed(b, "validate", &[]);
+    d.call(a, "processBatch", &[int(0), int(15)])?;
     for v in [40, -9] {
-        absorb(vm.call(a, "process", &[int(v)]));
+        d.call_absorbed(a, "process", &[int(v)]);
     }
     // Bad configurations exercise the builder's error paths.
-    absorb(vm.call(a, "configure", &[s("<chain><warp/></chain>")]));
-    absorb(vm.call(a, "configure", &[s("<chain><doubler")]));
+    d.call_absorbed(a, "configure", &[s("<chain><warp/></chain>")]);
+    d.call_absorbed(a, "configure", &[s("<chain><doubler")]);
     for _ in 0..2 {
-        absorb(vm.call(b, "components", &[]));
-        absorb(vm.call(a, "pushed", &[]));
-        // Replay-aware read: checkpoint-resume retraces this branch.
-        let sink = vm.field(b, "sink").unwrap_or(Value::Null);
+        d.call_absorbed(b, "components", &[]);
+        d.call_absorbed(a, "pushed", &[]);
+        let sink = d.field(b, "sink").unwrap_or(Value::Null);
         if let Some(sid) = sink.as_ref_id() {
-            absorb(vm.call(sid, "received", &[]));
-            absorb(vm.call(sid, "sum", &[]));
+            d.call_absorbed(sid, "received", &[]);
+            d.call_absorbed(sid, "sum", &[]);
         }
     }
     Ok(Value::Null)
 }
 
-fn driver_v2(vm: &mut Vm) -> MethodResult {
-    let parser = rooted(vm, "XmlParser", &[s("")])?;
-    let builder = rooted(vm, "ChainBuilder", &[])?;
+fn driver_v2(d: &mut Driver<'_>) -> MethodResult {
+    let parser = rooted(d, "XmlParser", &[s("")])?;
+    let builder = rooted(d, "ChainBuilder", &[])?;
     let b = builder.as_ref_id().expect("ref");
-    let app = rooted(vm, "Xml2Csc", &[parser, builder])?;
+    let app = rooted(d, "Xml2Csc", &[parser, builder])?;
     let a = app.as_ref_id().expect("ref");
-    vm.call(a, "configure", &[s(CONFIG_V2)])?;
-    vm.call(b, "teeOutput", &[])?;
-    absorb(vm.call(b, "validate", &[]));
-    vm.call(a, "processBatch", &[int(0), int(10)])?;
+    d.call(a, "configure", &[s(CONFIG_V2)])?;
+    d.call(b, "teeOutput", &[])?;
+    d.call_absorbed(b, "validate", &[]);
+    d.call(a, "processBatch", &[int(0), int(10)])?;
     for _ in 0..2 {
-        absorb(vm.call(b, "components", &[]));
-        absorb(vm.call(a, "pushed", &[]));
+        d.call_absorbed(b, "components", &[]);
+        d.call_absorbed(a, "pushed", &[]);
         for field in ["sink", "sink2"] {
-            // Replay-aware read: checkpoint-resume retraces this branch.
-            let sink = vm.field(b, field).unwrap_or(Value::Null);
+            let sink = d.field(b, field).unwrap_or(Value::Null);
             if let Some(sid) = sink.as_ref_id() {
-                absorb(vm.call(sid, "received", &[]));
-                absorb(vm.call(sid, "sum", &[]));
-                absorb(vm.call(sid, "last", &[]));
+                d.call_absorbed(sid, "received", &[]);
+                d.call_absorbed(sid, "sum", &[]);
+                d.call_absorbed(sid, "last", &[]);
             }
         }
     }
@@ -257,7 +255,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::Program;
+    use atomask_mor::{Program, Vm};
 
     fn configured(config: &str) -> (Vm, atomask_mor::ObjId, atomask_mor::ObjId) {
         let mut vm = Vm::new(build_registry());

@@ -3,8 +3,8 @@
 //! serialize the result.
 
 use super::xml::register_xml;
-use crate::util::{absorb, int, rooted, s};
-use atomask_mor::{FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value, Vm};
+use crate::util::{int, rooted, s};
+use atomask_mor::{Driver, FnProgram, MethodResult, Profile, Registry, RegistryBuilder, Value};
 
 fn register(rb: &mut RegistryBuilder) {
     register_xml(rb);
@@ -123,15 +123,15 @@ fn register(rb: &mut RegistryBuilder) {
     });
 }
 
-fn driver(vm: &mut Vm) -> MethodResult {
-    let parser = rooted(vm, "XmlParser", &[s("")])?;
+fn driver(d: &mut Driver<'_>) -> MethodResult {
+    let parser = rooted(d, "XmlParser", &[s("")])?;
     let transformer = rooted(
-        vm,
+        d,
         "Transformer",
         &[s("item"), s("entry"), Value::Bool(false)],
     )?;
-    let writer = rooted(vm, "XmlWriter", &[])?;
-    let app = rooted(vm, "Xml2Xml", &[parser, transformer.clone(), writer])?;
+    let writer = rooted(d, "XmlWriter", &[])?;
+    let app = rooted(d, "Xml2Xml", &[parser, transformer.clone(), writer])?;
     let app_id = app.as_ref_id().expect("ref");
 
     for doc in [
@@ -139,13 +139,13 @@ fn driver(vm: &mut Vm) -> MethodResult {
         r#"<item><item/></item>"#,
         r#"<empty/>"#,
     ] {
-        vm.call(app_id, "processDoc", &[s(doc)])?;
+        d.call(app_id, "processDoc", &[s(doc)])?;
     }
-    absorb(vm.call(app_id, "processDoc", &[s("<bad<")]));
+    d.call_absorbed(app_id, "processDoc", &[s("<bad<")]);
     let t = transformer.as_ref_id().expect("ref");
     for _ in 0..2 {
-        absorb(vm.call(app_id, "docs", &[]));
-        absorb(vm.call(t, "nodesRewritten", &[]));
+        d.call_absorbed(app_id, "docs", &[]);
+        d.call_absorbed(t, "nodesRewritten", &[]);
     }
     Ok(Value::Null)
 }
@@ -165,7 +165,7 @@ pub fn build_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::Program;
+    use atomask_mor::{Program, Vm};
 
     fn app(vm: &mut Vm, strip: bool) -> atomask_mor::ObjId {
         let parser = vm.construct("XmlParser", &[s("")]).unwrap();

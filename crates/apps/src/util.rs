@@ -1,6 +1,6 @@
 //! Shared helpers for application drivers and method bodies.
 
-use atomask_mor::{MethodResult, Value, Vm};
+use atomask_mor::{Driver, MethodResult, Value};
 
 /// Shorthand for `Value::Int`.
 pub fn int(v: i64) -> Value {
@@ -12,22 +12,14 @@ pub fn s(v: &str) -> Value {
     Value::from(v)
 }
 
-/// Runs a driver step whose guest exceptions are part of the scripted
-/// workload (expected failures and, during campaigns, injected exceptions
-/// that the driver absorbs and carries on — the exception handling path the
-/// paper stresses).
-pub fn absorb(result: MethodResult) -> Value {
-    result.unwrap_or(Value::Null)
-}
-
 /// Constructs an instance and roots it for the rest of the driver.
 ///
 /// # Errors
 ///
 /// Propagates constructor exceptions (e.g. injected ones).
-pub fn rooted(vm: &mut Vm, class: &str, args: &[Value]) -> MethodResult {
-    let id = vm.construct(class, args)?;
-    vm.root(id);
+pub fn rooted(d: &mut Driver<'_>, class: &str, args: &[Value]) -> MethodResult {
+    let id = d.construct(class, args)?;
+    d.root(id);
     Ok(Value::Ref(id))
 }
 
@@ -39,16 +31,5 @@ mod tests {
     fn shorthands() {
         assert_eq!(int(3), Value::Int(3));
         assert_eq!(s("a"), Value::Str("a".into()));
-    }
-
-    #[test]
-    fn absorb_swallows_errors() {
-        assert_eq!(absorb(Ok(Value::Int(1))), Value::Int(1));
-        let mut rb = atomask_mor::RegistryBuilder::new(atomask_mor::Profile::java());
-        let e = rb.exception("E");
-        assert_eq!(
-            absorb(Err(atomask_mor::Exception::new(e, "x"))),
-            Value::Null
-        );
     }
 }

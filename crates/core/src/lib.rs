@@ -61,9 +61,9 @@ pub use atomask_mask::{
     MaskingHook, Policy, UndoMaskingHook, UndoStats, WrapSet,
 };
 pub use atomask_mor::{
-    AsOfHeap, Budget, CallHook, CallKind, CallSite, ClassBuilder, ClassId, Ctx, ExcId, Exception,
-    FnProgram, Heap, Lang, MethodId, MethodResult, MorError, ObjId, Profile, Program, Registry,
-    RegistryBuilder, RingBufferSink, TraceEvent, TraceSink, Value, Vm,
+    AsOfHeap, Budget, CallHook, CallKind, CallSite, ClassBuilder, ClassId, Ctx, Driver, ExcId,
+    Exception, FnProgram, Heap, Lang, MethodId, MethodResult, MorError, ObjId, Profile, Program,
+    Registry, RegistryBuilder, RingBufferSink, TraceEvent, TraceSink, Value, Vm,
 };
 pub use atomask_objgraph::{
     fingerprint_of_roots, graph_fingerprint, graph_size, Checkpoint, FingerprintCache, GraphSize,

@@ -25,16 +25,16 @@ use atomask_mor::{FnProgram, Profile, Registry, RegistryBuilder, Value, Vm};
 /// | `Probe::deepDelegate` | conditional | delegates to `delegate` |
 /// | `Probe::helper` | atomic | leaf, mutates nothing |
 pub fn validation_program() -> FnProgram {
-    FnProgram::new("synthetic-validation", validation_registry, |vm| {
-        let p = vm.construct("Probe", &[])?;
-        vm.root(p);
-        vm.call(p, "readOnly", &[])?;
-        vm.call(p, "mutateClean", &[Value::Int(7)])?;
-        vm.call(p, "mutateDirty", &[Value::Int(8)])?;
-        vm.call(p, "restoreTooLate", &[])?;
-        vm.call(p, "delegate", &[Value::Int(9)])?;
-        vm.call(p, "deepDelegate", &[Value::Int(10)])?;
-        vm.call(p, "readOnly", &[])
+    FnProgram::new("synthetic-validation", validation_registry, |d| {
+        let p = d.construct("Probe", &[])?;
+        d.root(p);
+        d.call(p, "readOnly", &[])?;
+        d.call(p, "mutateClean", &[Value::Int(7)])?;
+        d.call(p, "mutateDirty", &[Value::Int(8)])?;
+        d.call(p, "restoreTooLate", &[])?;
+        d.call(p, "delegate", &[Value::Int(9)])?;
+        d.call(p, "deepDelegate", &[Value::Int(10)])?;
+        d.call(p, "readOnly", &[])
     })
 }
 

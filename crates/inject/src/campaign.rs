@@ -514,8 +514,9 @@ impl CampaignResult {
 ///
 /// The campaign first performs a counting run (no injection) to size the
 /// sweep and collect baseline call statistics, then executes the program
-/// once per potential injection point with `InjectionPoint = 1..=N`, on a
-/// fresh VM each time (all VMs share one registry).
+/// once per potential injection point with `InjectionPoint = 1..=N`. Every
+/// worker builds its own registry and recycles one VM across its runs,
+/// resetting it to a fresh VM's state before each ([`Vm::reset_for_run`]).
 pub struct Campaign<'p> {
     program: &'p dyn Program,
     inner_hook: Option<InnerHookFactory>,
@@ -1198,10 +1199,10 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let t = vm.construct("T", &[])?;
-                vm.root(t);
-                vm.call(t, "outer", &[])
+            |d| {
+                let t = d.construct("T", &[])?;
+                d.root(t);
+                d.call(t, "outer", &[])
             },
         )
     }
@@ -1249,21 +1250,21 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let p = vm.construct("P", &[])?;
-                vm.root(p);
+            |d| {
+                let p = d.construct("P", &[])?;
+                d.root(p);
                 // Application-level retry loop: swallows failures and tries
                 // again. Once the injected failure leaks the lock, every
                 // retry throws `StateError` and only the fuel budget ends
                 // the run.
                 loop {
-                    match vm.call(p, "transact", &[]) {
+                    match d.call(p, "transact", &[]) {
                         Ok(_) => break,
                         Err(_) => continue,
                     }
                 }
-                let _ = vm.call(p, "strict", &[]);
-                vm.call(p, "calm", &[])
+                d.call_absorbed(p, "strict", &[]);
+                d.call(p, "calm", &[])
             },
         )
     }
@@ -1668,12 +1669,12 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let c = vm.construct("C", &[])?;
-                vm.root(c);
+            |d| {
+                let c = d.construct("C", &[])?;
+                d.root(c);
                 let mut last = Value::Null;
                 for _ in 0..STEPS {
-                    last = vm.call(c, "step", &[])?;
+                    last = d.call(c, "step", &[])?;
                 }
                 Ok(last)
             },

@@ -132,12 +132,12 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let a = vm.construct("A", &[])?;
-                vm.root(a);
-                vm.call(a, "walker", &[Value::Int(5)])?;
-                let _ = vm.call(a, "thrower", &[]);
-                vm.call(a, "getter", &[])
+            |d| {
+                let a = d.construct("A", &[])?;
+                d.root(a);
+                d.call(a, "walker", &[Value::Int(5)])?;
+                d.call_absorbed(a, "thrower", &[]);
+                d.call(a, "getter", &[])
             },
         )
     }
@@ -196,10 +196,10 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let s = vm.construct("Str", &[])?;
-                vm.root(s);
-                vm.call(s, "len", &[])
+            |d| {
+                let s = d.construct("Str", &[])?;
+                d.root(s);
+                d.call(s, "len", &[])
             },
         );
         // A core-class method never gets injections anyway: suggesting it

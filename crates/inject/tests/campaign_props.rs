@@ -36,10 +36,10 @@ fn tree_program(depth: u8, fanout: u8, extra_exc: u8) -> FnProgram {
     FnProgram::new(
         "tree",
         move || tree_registry(fanout, extra_exc),
-        move |vm| {
-            let t = vm.construct("T", &[])?;
-            vm.root(t);
-            vm.call(t, "spin", &[Value::Int(depth as i64)])
+        move |d| {
+            let t = d.construct("T", &[])?;
+            d.root(t);
+            d.call(t, "spin", &[Value::Int(depth as i64)])
         },
     )
 }
@@ -51,11 +51,11 @@ fn retrying_tree_program(depth: u8, fanout: u8) -> FnProgram {
     FnProgram::new(
         "retry-tree",
         move || tree_registry(fanout, 0),
-        move |vm| {
-            let t = vm.construct("T", &[])?;
-            vm.root(t);
+        move |d| {
+            let t = d.construct("T", &[])?;
+            d.root(t);
             loop {
-                if vm.call(t, "spin", &[Value::Int(depth as i64)]).is_ok() {
+                if d.call(t, "spin", &[Value::Int(depth as i64)]).is_ok() {
                     return Ok(Value::Null);
                 }
             }

@@ -194,19 +194,19 @@ fn pathological_program() -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let p = vm.construct("P", &[])?;
-            vm.root(p);
+        |d| {
+            let p = d.construct("P", &[])?;
+            d.root(p);
             // Swallow-and-retry: once the injected failure leaks the lock,
             // only the fuel budget ends the run.
             loop {
-                match vm.call(p, "transact", &[]) {
+                match d.call(p, "transact", &[]) {
                     Ok(_) => break,
                     Err(_) => continue,
                 }
             }
-            let _ = vm.call(p, "strict", &[]);
-            vm.call(p, "calm", &[])
+            d.call_absorbed(p, "strict", &[]);
+            d.call(p, "calm", &[])
         },
     )
 }

@@ -25,11 +25,11 @@ fn striped_tree(depth: u8, fanout: u8) -> FnProgram {
                 c.field("audit", Value::Int(0));
                 c.method("spin", |ctx, this, args| {
                     let level = args[0].as_int().unwrap_or(0);
+                    let fanout = args[1].clone();
                     if level > 0 {
-                        let fanout = ctx.get_int(this, "fanout");
-                        for _ in 0..fanout {
+                        for _ in 0..fanout.as_int().unwrap_or(0) {
                             ctx.call(this, "bump", &[])?;
-                            ctx.call(this, "spin", &[Value::Int(level - 1)])?;
+                            ctx.call(this, "spin", &[Value::Int(level - 1), fanout.clone()])?;
                         }
                     }
                     let w = ctx.get_int(this, "work");
@@ -52,17 +52,17 @@ fn striped_tree(depth: u8, fanout: u8) -> FnProgram {
                     ctx.set(this, "work", Value::Int(w ^ 5));
                     Ok(Value::Null)
                 });
-                c.field("fanout", Value::Int(0));
             });
             rb.build()
         },
-        move |vm| {
-            let t = vm.construct("T", &[])?;
-            vm.root(t);
-            vm.heap_mut()
-                .set_field(t, "fanout", Value::Int(fanout as i64))
-                .expect("fanout field exists");
-            vm.call(t, "spin", &[Value::Int(depth as i64)])
+        move |d| {
+            let t = d.construct("T", &[])?;
+            d.root(t);
+            d.call(
+                t,
+                "spin",
+                &[Value::Int(depth as i64), Value::Int(fanout as i64)],
+            )
         },
     )
 }

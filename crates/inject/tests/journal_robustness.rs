@@ -383,11 +383,11 @@ fn two_level_program() -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let t = vm.construct("T", &[])?;
-            vm.root(t);
+        |d| {
+            let t = d.construct("T", &[])?;
+            d.root(t);
             for _ in 0..3 {
-                let _ = vm.call(t, "outer", &[]);
+                d.call_absorbed(t, "outer", &[]);
             }
             Ok(Value::Null)
         },

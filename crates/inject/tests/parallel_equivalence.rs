@@ -33,10 +33,10 @@ fn tree_program(depth: u8, fanout: u8) -> FnProgram {
             });
             rb.build()
         },
-        move |vm| {
-            let t = vm.construct("T", &[])?;
-            vm.root(t);
-            vm.call(t, "spin", &[Value::Int(depth as i64)])
+        move |d| {
+            let t = d.construct("T", &[])?;
+            d.root(t);
+            d.call(t, "spin", &[Value::Int(depth as i64)])
         },
     )
 }
@@ -80,17 +80,17 @@ fn pathological_program() -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let p = vm.construct("P", &[])?;
-            vm.root(p);
+        |d| {
+            let p = d.construct("P", &[])?;
+            d.root(p);
             loop {
-                match vm.call(p, "transact", &[]) {
+                match d.call(p, "transact", &[]) {
                     Ok(_) => break,
                     Err(_) => continue,
                 }
             }
-            let _ = vm.call(p, "strict", &[]);
-            vm.call(p, "calm", &[])
+            d.call_absorbed(p, "strict", &[]);
+            d.call(p, "calm", &[])
         },
     )
 }

@@ -39,10 +39,10 @@
 //!         });
 //!         rb.build()
 //!     },
-//!     |vm| {
-//!         let a = vm.construct("Acc", &[])?;
-//!         vm.root(a);
-//!         vm.call(a, "add", &[Value::Int(5)])
+//!     |d| {
+//!         let a = d.construct("Acc", &[])?;
+//!         d.root(a);
+//!         d.call(a, "add", &[Value::Int(5)])
 //!     },
 //! );
 //!

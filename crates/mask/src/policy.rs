@@ -110,39 +110,29 @@ mod tests {
                 });
                 rb.class("Mid", |c| {
                     c.field("state", Value::Int(0));
-                    c.field("leaf", Value::Null);
-                    c.method("step", |ctx, this, _| {
+                    c.method("step", |ctx, this, args| {
                         let s = ctx.get_int(this, "state");
                         ctx.set(this, "state", Value::Int(s + 1));
-                        let leaf = ctx.get(this, "leaf");
-                        ctx.call_value(&leaf, "work", &[])?;
+                        ctx.call_value(&args[0], "work", &[])?;
                         ctx.set(this, "state", Value::Int(s));
                         Ok(Value::Null)
                     });
                 });
                 rb.class("Top", |c| {
-                    c.field("mid", Value::Null);
-                    c.method("go", |ctx, this, _| {
-                        let mid = ctx.get(this, "mid");
-                        ctx.call_value(&mid, "step", &[])
+                    c.method("go", |ctx, _, args| {
+                        ctx.call_value(&args[0], "step", &args[1..])
                     });
                 });
                 rb.build()
             },
-            |vm| {
-                let leaf = vm.construct("Leaf", &[])?;
-                vm.root(leaf);
-                let mid = vm.construct("Mid", &[])?;
-                vm.root(mid);
-                vm.heap_mut()
-                    .set_field(mid, "leaf", Value::Ref(leaf))
-                    .unwrap();
-                let top = vm.construct("Top", &[])?;
-                vm.root(top);
-                vm.heap_mut()
-                    .set_field(top, "mid", Value::Ref(mid))
-                    .unwrap();
-                vm.call(top, "go", &[])
+            |d| {
+                let leaf = d.construct("Leaf", &[])?;
+                d.root(leaf);
+                let mid = d.construct("Mid", &[])?;
+                d.root(mid);
+                let top = d.construct("Top", &[])?;
+                d.root(top);
+                d.call(top, "go", &[Value::Ref(mid), Value::Ref(leaf)])
             },
         )
     }

@@ -122,6 +122,10 @@ mod tests {
                 rb.class("Journal", |c| {
                     c.field("log", Value::Null);
                     c.field("seq", Value::Int(0));
+                    c.ctor(|ctx, this, args| {
+                        ctx.set(this, "log", args[0].clone());
+                        Ok(Value::Null)
+                    });
                     c.method("record", |ctx, this, _| {
                         let s = ctx.get_int(this, "seq");
                         ctx.set(this, "seq", Value::Int(s + 1));
@@ -137,13 +141,12 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let log = vm.construct("Log", &[])?;
-                vm.root(log);
-                let j = vm.construct("Journal", &[])?;
-                vm.root(j);
-                vm.heap_mut().set_field(j, "log", Value::Ref(log)).unwrap();
-                vm.call(j, "report", &[])
+            |d| {
+                let log = d.construct("Log", &[])?;
+                d.root(log);
+                let j = d.construct("Journal", &[Value::Ref(log)])?;
+                d.root(j);
+                d.call(j, "report", &[])
             },
         )
     }

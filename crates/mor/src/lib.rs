@@ -38,7 +38,9 @@
 //!
 //! Application code (the evaluation workloads in `atomask-apps`) is written
 //! as Rust functions that perform **all** state access through [`Ctx`], so
-//! the runtime sees every field read/write and every call.
+//! the runtime sees every field read/write and every call. A [`Program`]'s
+//! driver reaches the VM only through a [`Driver`], whose top-level ops are
+//! what checkpoint-resume records and replays.
 //!
 //! ## Example
 //!
@@ -68,6 +70,7 @@
 mod budget;
 mod class;
 mod ctx;
+mod driver;
 mod error;
 mod exception;
 mod fx;
@@ -85,6 +88,7 @@ mod vm;
 pub use budget::Budget;
 pub use class::{ClassBuilder, ClassDef, FieldDef, MethodCfg, MethodDef, CTOR_NAME};
 pub use ctx::Ctx;
+pub use driver::Driver;
 pub use error::MorError;
 pub use exception::{Exception, ExceptionTable, MethodResult};
 pub use fx::FxHashSet;

@@ -5,6 +5,7 @@
 //! potential injection point on a **fresh VM each run**, so programs must be
 //! deterministic given their construction parameters.
 
+use crate::driver::Driver;
 use crate::exception::MethodResult;
 use crate::registry::Registry;
 use crate::vm::Vm;
@@ -24,10 +25,16 @@ pub trait Program: Sync {
     /// profile). Called once per run.
     fn build_registry(&self) -> Registry;
 
-    /// Drives the workload. Guest exceptions escaping to the top level
-    /// (e.g. injected ones) are returned as `Err` — that is a normal
-    /// campaign outcome, not a harness failure.
-    fn run(&self, vm: &mut Vm) -> MethodResult;
+    /// Drives the workload through `d`, the driver's only handle on the
+    /// VM. Guest exceptions escaping to the top level (e.g. injected ones)
+    /// are returned as `Err` — that is a normal campaign outcome, not a
+    /// harness failure.
+    fn drive(&self, d: &mut Driver<'_>) -> MethodResult;
+
+    /// Runs the driver on `vm`: the entry point of harnesses and tests.
+    fn run(&self, vm: &mut Vm) -> MethodResult {
+        self.drive(&mut Driver::new(vm))
+    }
 }
 
 /// A [`Program`] assembled from closures — convenient for tests and small
@@ -45,10 +52,10 @@ pub trait Program: Sync {
 ///         });
 ///         rb.build()
 ///     },
-///     |vm| {
-///         let a = vm.construct("A", &[])?;
-///         vm.root(a);
-///         vm.call(a, "m", &[])
+///     |d| {
+///         let a = d.construct("A", &[])?;
+///         d.root(a);
+///         d.call(a, "m", &[])
 ///     },
 /// );
 /// let mut vm = atomask_mor::Vm::new(p.build_registry());
@@ -57,7 +64,7 @@ pub trait Program: Sync {
 pub struct FnProgram {
     name: String,
     build: Box<dyn Fn() -> Registry + Send + Sync>,
-    run: Box<dyn Fn(&mut Vm) -> MethodResult + Send + Sync>,
+    drive: Box<dyn Fn(&mut Driver<'_>) -> MethodResult + Send + Sync>,
 }
 
 impl FnProgram {
@@ -69,12 +76,12 @@ impl FnProgram {
     pub fn new(
         name: impl Into<String>,
         build: impl Fn() -> Registry + Send + Sync + 'static,
-        run: impl Fn(&mut Vm) -> MethodResult + Send + Sync + 'static,
+        drive: impl Fn(&mut Driver<'_>) -> MethodResult + Send + Sync + 'static,
     ) -> Self {
         FnProgram {
             name: name.into(),
             build: Box::new(build),
-            run: Box::new(run),
+            drive: Box::new(drive),
         }
     }
 }
@@ -88,8 +95,8 @@ impl Program for FnProgram {
         (self.build)()
     }
 
-    fn run(&self, vm: &mut Vm) -> MethodResult {
-        (self.run)(vm)
+    fn drive(&self, d: &mut Driver<'_>) -> MethodResult {
+        (self.drive)(d)
     }
 }
 
@@ -123,11 +130,11 @@ mod tests {
                 });
                 rb.build()
             },
-            |vm| {
-                let a = vm.construct("A", &[])?;
-                vm.root(a);
-                vm.call(a, "bump", &[])?;
-                vm.call(a, "bump", &[])
+            |d| {
+                let a = d.construct("A", &[])?;
+                d.root(a);
+                d.call(a, "bump", &[])?;
+                d.call(a, "bump", &[])
             },
         )
     }

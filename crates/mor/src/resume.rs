@@ -1,45 +1,46 @@
 //! Checkpoint-resume support: structural VM checkpoints plus a record /
-//! replay log of *top-level* driver operations.
+//! replay log of the operations a driver issues.
 //!
 //! A detection sweep runs the same program once per injection point, and
 //! every run re-executes the entire prefix before its target just to arrive
 //! there. The types in this module remove that quadratic prefix cost:
 //!
-//! 1. **Recording.** One observing run executes normally while the VM logs
-//!    every *top-level* (depth-0) operation the driver issues —
-//!    [`crate::Vm::construct`], [`crate::Vm::call`],
-//!    [`crate::Vm::call_by_id`], [`crate::Vm::alloc_raw`] and
-//!    [`crate::Vm::field`] — as an [`OpRecord`]: a validation [`OpKey`] and
-//!    the operation's result. A boundary probe runs after each completed
-//!    top-level op and may capture a [`VmCheckpoint`]: an O(live-objects)
-//!    structural copy of the heap (cheap — `Rc`-shared values clone by
-//!    refcount bump) plus call statistics, the call sequence number, fuel
-//!    spent, and the exception chain-id watermark.
-//! 2. **Replay.** A resumed run re-executes the driver, but each top-level
-//!    op short-circuits: the VM validates the op against the log and
+//! 1. **Recording.** One observing run executes normally while its
+//!    [`crate::Driver`] logs every operation the driver issues —
+//!    [`crate::Driver::construct`], [`crate::Driver::call`],
+//!    [`crate::Driver::call_absorbed`] and [`crate::Driver::field`] — as an
+//!    [`OpRecord`]: a validation [`OpKey`] and the operation's result. A
+//!    boundary probe runs after each completed op and may capture a
+//!    [`VmCheckpoint`]: an O(live-objects) structural copy of the heap
+//!    (cheap — `Rc`-shared values clone by refcount bump) plus call
+//!    statistics, the call sequence number, fuel spent, and the exception
+//!    chain-id watermark.
+//! 2. **Replay.** A resumed run re-executes the driver, but each op
+//!    short-circuits: the handle validates the op against the log and
 //!    returns the recorded result without touching the (empty) heap, so the
 //!    driver retraces its recorded control flow at host speed. At the
-//!    *switch* op the VM restores the checkpoint and falls back to live
-//!    execution for the tail.
+//!    *switch* op the checkpoint is restored and execution goes live for
+//!    the tail.
 //!
 //! Guest bodies never run during a replayed prefix, so no hook fires, no
 //! fuel is charged, and no heap mutation happens — all of that state is
-//! reinstated wholesale by [`crate::Vm::restore`]. Determinism is guarded
-//! by the op keys: if a driver's control flow ever diverges from the
-//! recording (it cannot, for the deterministic programs this runtime
-//! models, but the guard is load-bearing), the VM panics with a message
-//! containing [`REPLAY_MISMATCH`] and the campaign layer falls back to
+//! reinstated wholesale by [`crate::Vm::restore`]. The handle is the
+//! driver's only way into the VM, so what the driver sees during replay is
+//! exactly what it saw while recording, and a deterministic driver retraces
+//! the recorded ops. The op keys guard that determinism: a driver whose
+//! control flow diverges from the recording panics with a message
+//! containing [`REPLAY_MISMATCH`], and the campaign layer falls back to
 //! from-scratch execution for that point.
 
 use crate::exception::Exception;
 use crate::heap::HeapCheckpoint;
-use crate::ids::{MethodId, ObjId};
+use crate::ids::ObjId;
 use crate::value::Value;
 use crate::vm::{CallStats, Vm};
 use std::rc::Rc;
 
-/// Marker substring of the panic message raised when a replayed top-level
-/// op does not match the recording. Callers that drive replay (the
+/// Marker substring of the panic message raised when a replayed driver op
+/// does not match the recording. Callers that drive replay (the
 /// campaign layer) catch the unwind, look for this sentinel, and fall back
 /// to from-scratch execution.
 pub const REPLAY_MISMATCH: &str = "checkpoint replay mismatch";
@@ -59,31 +60,20 @@ pub type BoundaryProbe = Box<dyn FnMut(&Vm, usize)>;
 /// drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKey {
-    /// [`crate::Vm::construct`] of the named class.
+    /// [`crate::Driver::construct`] of the named class.
     Construct {
         /// Class name as passed by the driver.
         class: String,
     },
-    /// [`crate::Vm::alloc_raw`] of the named class.
-    AllocRaw {
-        /// Class name as passed by the driver.
-        class: String,
-    },
-    /// [`crate::Vm::call`] by method name.
+    /// [`crate::Driver::call`] or [`crate::Driver::call_absorbed`]; the
+    /// recorded [`OpResult`] tells the two apart.
     Call {
         /// Receiver object.
         recv: ObjId,
         /// Method name as passed by the driver.
         method: String,
     },
-    /// [`crate::Vm::call_by_id`].
-    CallById {
-        /// Receiver object.
-        recv: ObjId,
-        /// Global method id.
-        method: MethodId,
-    },
-    /// [`crate::Vm::field`] — a replay-aware driver-level field read.
+    /// [`crate::Driver::field`].
     Field {
         /// Receiver object.
         recv: ObjId,
@@ -97,44 +87,14 @@ pub enum OpKey {
 /// clone is a refcount bump.
 #[derive(Debug, Clone)]
 pub enum OpResult {
-    /// Result of a [`crate::Vm::construct`].
+    /// Result of a [`crate::Driver::construct`].
     Construct(Result<ObjId, Exception>),
-    /// Result of a [`crate::Vm::call`] / [`crate::Vm::call_by_id`].
+    /// Result of a [`crate::Driver::call`].
     Method(Result<Value, Exception>),
-    /// Result of a [`crate::Vm::alloc_raw`].
-    Obj(ObjId),
-    /// Result of a [`crate::Vm::field`].
+    /// A [`crate::Driver::call_absorbed`], whose result the driver drops.
+    Dropped,
+    /// Result of a [`crate::Driver::field`].
     Field(Option<Value>),
-}
-
-impl OpResult {
-    pub(crate) fn into_construct(self) -> Result<ObjId, Exception> {
-        match self {
-            OpResult::Construct(r) => r,
-            other => unreachable!("construct key paired with {other:?}"),
-        }
-    }
-
-    pub(crate) fn into_method(self) -> Result<Value, Exception> {
-        match self {
-            OpResult::Method(r) => r,
-            other => unreachable!("call key paired with {other:?}"),
-        }
-    }
-
-    pub(crate) fn into_obj(self) -> ObjId {
-        match self {
-            OpResult::Obj(id) => id,
-            other => unreachable!("alloc key paired with {other:?}"),
-        }
-    }
-
-    pub(crate) fn into_field(self) -> Option<Value> {
-        match self {
-            OpResult::Field(v) => v,
-            other => unreachable!("field key paired with {other:?}"),
-        }
-    }
 }
 
 /// One recorded top-level operation: its identity and its result.
@@ -203,6 +163,7 @@ pub(crate) struct ReplayState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Driver;
     use crate::profile::Profile;
     use crate::registry::{Registry, RegistryBuilder};
     use std::cell::RefCell;
@@ -235,27 +196,30 @@ mod tests {
     /// exceptions, and a driver-level field read — everything a replayed
     /// prefix must reproduce.
     fn drive(vm: &mut Vm) {
-        let c = vm.construct("Counter", &[Value::Int(3)]).unwrap();
-        vm.root(c);
-        vm.call(c, "increment", &[]).unwrap();
-        let _ = vm.call(c, "fail", &[]);
-        if vm.field(c, "count") == Some(Value::Int(104)) {
-            vm.call(c, "increment", &[]).unwrap();
+        let d = &mut Driver::new(vm);
+        let c = d.construct("Counter", &[Value::Int(3)]).unwrap();
+        d.root(c);
+        d.call(c, "increment", &[]).unwrap();
+        d.call_absorbed(c, "fail", &[]);
+        if d.field(c, "count") == Some(Value::Int(104)) {
+            d.call(c, "increment", &[]).unwrap();
         }
-        let _ = vm.call(c, "fail", &[]);
-        vm.call(c, "increment", &[]).unwrap();
+        d.call_absorbed(c, "fail", &[]);
+        d.call(c, "increment", &[]).unwrap();
     }
 
-    type Probe = (Vec<Value>, Vec<u64>, u64, u64, u64);
+    type Probe = (Vec<Value>, Vec<usize>, Vec<u64>, u64, u64, u64);
 
     fn state(vm: &Vm) -> Probe {
-        let fields: Vec<Value> = vm
-            .heap()
+        let heap = vm.heap();
+        let fields: Vec<Value> = heap
             .iter()
             .flat_map(|(_, o)| o.fields().iter().cloned())
             .collect();
+        let roots = heap.iter().map(|(id, _)| heap.root_count(id)).collect();
         (
             fields,
+            roots,
             vm.stats().calls.clone(),
             vm.stats().exceptions_seen,
             vm.fuel_spent(),
@@ -334,17 +298,55 @@ mod tests {
         let ops = Rc::new(vm.finish_recording().unwrap());
         let ckpt = Rc::new(vm.checkpoint());
 
+        // The recording starts with a construct; issuing a different class
+        // name must trip the key validator.
+        assert_replay_mismatch(&mut vm, &ops, ckpt, |d| {
+            let _ = d.construct("Nope", &[]);
+        });
+    }
+
+    /// Replays `ops` under `drive` and requires the determinism guard to
+    /// trip: a panic carrying [`REPLAY_MISMATCH`] that disarms replay.
+    fn assert_replay_mismatch(
+        vm: &mut Vm,
+        ops: &Rc<Vec<OpRecord>>,
+        ckpt: Rc<VmCheckpoint>,
+        drive: impl FnOnce(&mut Driver<'_>),
+    ) {
         vm.reset_for_run();
-        vm.begin_replay(Rc::clone(&ops), ops.len(), ckpt);
+        vm.begin_replay(Rc::clone(ops), ops.len(), ckpt);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // The recording starts with a construct; issuing a different
-            // class name must trip the key validator.
-            let _ = vm.construct("Nope", &[]);
+            drive(&mut Driver::new(vm));
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains(REPLAY_MISMATCH), "got: {msg}");
         assert!(!vm.replay_active(), "mismatch disarms replay");
+    }
+
+    #[test]
+    fn call_and_absorbed_call_do_not_replay_each_other() {
+        let reg = Rc::new(registry());
+        let mut vm = Vm::from_shared_registry(reg);
+        vm.start_recording();
+        drive(&mut vm);
+        let ops = Rc::new(vm.finish_recording().unwrap());
+        let ckpt = Rc::new(vm.checkpoint());
+        // Op 2 is `fail`, recorded as absorbed: the same key issued as a
+        // plain call must not get the dropped result back.
+        assert!(matches!(ops[2].result(), OpResult::Dropped));
+        assert_replay_mismatch(&mut vm, &ops, Rc::clone(&ckpt), |d| {
+            let c = d.construct("Counter", &[Value::Int(3)]).unwrap();
+            d.call(c, "increment", &[]).unwrap();
+            let _ = d.call(c, "fail", &[]);
+        });
+        // Op 1 is `increment`, recorded with its result: absorbing it
+        // instead must trip the guard too.
+        assert!(matches!(ops[1].result(), OpResult::Method(Ok(_))));
+        assert_replay_mismatch(&mut vm, &ops, ckpt, |d| {
+            let c = d.construct("Counter", &[Value::Int(3)]).unwrap();
+            d.call_absorbed(c, "increment", &[]);
+        });
     }
 
     #[test]

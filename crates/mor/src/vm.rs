@@ -8,9 +8,7 @@ use crate::heap::Heap;
 use crate::hook::{CallHook, CallKind, CallSite, HookGuard};
 use crate::ids::{ExcId, MethodId, ObjId};
 use crate::registry::Registry;
-use crate::resume::{
-    BoundaryProbe, OpKey, OpRecord, OpResult, ReplayState, VmCheckpoint, REPLAY_MISMATCH,
-};
+use crate::resume::{BoundaryProbe, OpRecord, ReplayState, VmCheckpoint};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::value::Value;
 use std::cell::RefCell;
@@ -74,13 +72,13 @@ pub struct Vm {
     depth: usize,
     fuel: FuelMeter,
     tracer: Option<Rc<RefCell<dyn TraceSink>>>,
-    /// Recording mode: the log of completed top-level ops, if active.
-    op_log: Option<Vec<OpRecord>>,
-    /// Invoked after each recorded top-level op (checkpoint capture).
-    boundary_probe: Option<BoundaryProbe>,
-    /// Replay mode: short-circuits top-level ops from a recorded log until
-    /// the switch index, then restores the paired checkpoint.
-    replay: Option<ReplayState>,
+    /// Recording mode: the log of completed driver ops, if active.
+    pub(crate) op_log: Option<Vec<OpRecord>>,
+    /// Invoked after each recorded driver op (checkpoint capture).
+    pub(crate) boundary_probe: Option<BoundaryProbe>,
+    /// Replay mode: [`crate::Driver`] short-circuits ops from a recorded
+    /// log until the switch index, then restores the paired checkpoint.
+    pub(crate) replay: Option<ReplayState>,
     /// Preinterned id of the distinguished `BudgetExhausted` exception;
     /// cached so dispatch can exempt it from declaration-violation
     /// accounting without a name lookup per propagation step.
@@ -213,7 +211,7 @@ impl Vm {
         &self.heap
     }
 
-    /// Mutable access to the heap (used by checkpoint restore and drivers).
+    /// Mutable access to the heap (checkpoint restore, hooks and tests).
     pub fn heap_mut(&mut self) -> &mut Heap {
         &mut self.heap
     }
@@ -297,36 +295,8 @@ impl Vm {
     ///
     /// Panics if `class_name` is not registered (host error).
     pub fn construct(&mut self, class_name: &str, args: &[Value]) -> Result<ObjId, Exception> {
-        if self.replay.is_some() {
-            if let Some(r) = self.replay_step(|| OpKey::Construct {
-                class: class_name.to_owned(),
-            }) {
-                return r.into_construct();
-            }
-        }
-        let result = self.construct_live(class_name, args);
-        if self.recording_top_level() {
-            self.record_op(
-                OpKey::Construct {
-                    class: class_name.to_owned(),
-                },
-                OpResult::Construct(result.clone()),
-            );
-        }
-        result
-    }
-
-    fn construct_live(&mut self, class_name: &str, args: &[Value]) -> Result<ObjId, Exception> {
-        let class = self
-            .registry
-            .class_by_name(class_name)
-            .unwrap_or_else(|| panic!("unknown class `{class_name}`"))
-            .clone();
-        self.charge_heap_op();
-        let id = self.heap.alloc(&class);
-        self.root_in_frame(id);
-        if let Some(ctor) = class.ctor() {
-            let gid = ctor.gid;
+        let (id, ctor) = self.alloc(class_name);
+        if let Some(gid) = ctor {
             self.dispatch(gid, id, args, CallKind::Ctor)?;
         }
         Ok(id)
@@ -339,13 +309,11 @@ impl Vm {
     ///
     /// Panics if `class_name` is not registered (host error).
     pub fn alloc_raw(&mut self, class_name: &str) -> ObjId {
-        if self.depth == 0 && self.replay.is_some() {
-            if let Some(r) = self.replay_step(|| OpKey::AllocRaw {
-                class: class_name.to_owned(),
-            }) {
-                return r.into_obj();
-            }
-        }
+        self.alloc(class_name).0
+    }
+
+    /// Allocates an instance, returning it with its constructor's id.
+    fn alloc(&mut self, class_name: &str) -> (ObjId, Option<MethodId>) {
         let class = self
             .registry
             .class_by_name(class_name)
@@ -354,15 +322,7 @@ impl Vm {
         self.charge_heap_op();
         let id = self.heap.alloc(&class);
         self.root_in_frame(id);
-        if self.recording_top_level() {
-            self.record_op(
-                OpKey::AllocRaw {
-                    class: class_name.to_owned(),
-                },
-                OpResult::Obj(id),
-            );
-        }
-        id
+        (id, class.ctor().map(|c| c.gid))
     }
 
     /// Calls `method` on `recv` through the interposable boundary.
@@ -377,31 +337,6 @@ impl Vm {
     /// Panics if `recv` is dead or its class has no such method (host
     /// errors — guest-level null dereference is [`Ctx::call_value`]).
     pub fn call(&mut self, recv: ObjId, method: &str, args: &[Value]) -> MethodResult {
-        // Replay interception must come *before* receiver resolution: the
-        // heap is empty while a replayed prefix is in flight, so touching
-        // `recv` would be a false "dead object" host error.
-        if self.replay.is_some() {
-            if let Some(r) = self.replay_step(|| OpKey::Call {
-                recv,
-                method: method.to_owned(),
-            }) {
-                return r.into_method();
-            }
-        }
-        let result = self.call_live(recv, method, args);
-        if self.recording_top_level() {
-            self.record_op(
-                OpKey::Call {
-                    recv,
-                    method: method.to_owned(),
-                },
-                OpResult::Method(result.clone()),
-            );
-        }
-        result
-    }
-
-    fn call_live(&mut self, recv: ObjId, method: &str, args: &[Value]) -> MethodResult {
         let obj = self
             .heap
             .get(recv)
@@ -414,75 +349,16 @@ impl Vm {
         self.dispatch(gid, recv, args, CallKind::Method)
     }
 
-    /// Calls a method by global id (used by wrappers and the pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest exceptions, as [`Vm::call`].
-    pub fn call_by_id(&mut self, mid: MethodId, recv: ObjId, args: &[Value]) -> MethodResult {
-        if self.depth == 0 && self.replay.is_some() {
-            if let Some(r) = self.replay_step(|| OpKey::CallById { recv, method: mid }) {
-                return r.into_method();
-            }
-        }
-        let kind = if self.registry.method(mid).is_ctor {
-            CallKind::Ctor
-        } else {
-            CallKind::Method
-        };
-        let result = self.dispatch(mid, recv, args, kind);
-        if self.recording_top_level() {
-            self.record_op(
-                OpKey::CallById { recv, method: mid },
-                OpResult::Method(result.clone()),
-            );
-        }
-        result
-    }
-
-    /// Reads a field at driver level, like `vm.heap().field(..)`, but
-    /// replay-aware: during a replayed prefix the recorded value is
-    /// returned instead of touching the (empty) heap. Drivers whose
-    /// control flow depends on heap reads must use this instead of going
-    /// through [`Vm::heap`] directly, or checkpoint-resume cannot retrace
-    /// them. Charges no fuel, exactly like the direct heap read.
-    pub fn field(&mut self, id: ObjId, name: &str) -> Option<Value> {
-        if self.depth == 0 && self.replay.is_some() {
-            if let Some(r) = self.replay_step(|| OpKey::Field {
-                recv: id,
-                field: name.to_owned(),
-            }) {
-                return r.into_field();
-            }
-        }
-        let value = self.heap.field(id, name);
-        if self.recording_top_level() {
-            self.record_op(
-                OpKey::Field {
-                    recv: id,
-                    field: name.to_owned(),
-                },
-                OpResult::Field(value.clone()),
-            );
-        }
-        value
-    }
-
     /// Current call nesting depth (0 outside any guest call).
     pub fn depth(&self) -> usize {
         self.depth
     }
 
-    /// Begins recording top-level driver operations (see
-    /// [`crate::resume`]). Recording changes nothing observable about the
+    /// Begins recording the ops the program's [`crate::Driver`] issues
+    /// (see [`crate::resume`]). Recording changes nothing observable about the
     /// run: ops execute live and their keys/results are logged on the side.
     pub fn start_recording(&mut self) {
         self.op_log = Some(Vec::new());
-    }
-
-    /// `true` iff a recording is in progress.
-    pub fn recording(&self) -> bool {
-        self.op_log.is_some()
     }
 
     /// Ends recording, returning the op log (also detaches the boundary
@@ -493,7 +369,7 @@ impl Vm {
     }
 
     /// Installs (or removes) the boundary probe invoked after each
-    /// recorded top-level op. The probe sees the VM quiescent (depth 0, no
+    /// recorded driver op. The probe sees the VM quiescent (depth 0, no
     /// open frames or journal layers) and the count of ops recorded so far
     /// — the natural place to capture strided [`VmCheckpoint`]s.
     pub fn set_boundary_probe(&mut self, probe: Option<BoundaryProbe>) {
@@ -550,7 +426,7 @@ impl Vm {
         crate::exception::set_chain_watermark(ckpt.chain_next);
     }
 
-    /// Arms replay: top-level ops `0..switch` short-circuit to their
+    /// Arms replay: driver ops `0..switch` short-circuit to their
     /// recorded results, then `checkpoint` is restored and execution goes
     /// live. Must be installed before the driver starts (on a freshly
     /// reset VM) and is mutually exclusive with recording.
@@ -585,58 +461,6 @@ impl Vm {
     /// Disarms any in-flight replay (fallback path cleanup).
     pub fn clear_replay(&mut self) {
         self.replay = None;
-    }
-
-    /// Replay interception for one top-level op: returns the recorded
-    /// result while replaying the prefix, or `None` once live (restoring
-    /// the checkpoint on the transition). Panics with [`REPLAY_MISMATCH`]
-    /// in the message if the op does not match the recording.
-    fn replay_step(&mut self, make_key: impl FnOnce() -> OpKey) -> Option<OpResult> {
-        self.replay.as_ref()?;
-        let rs = self.replay.as_mut().expect("checked above");
-        if rs.cursor >= rs.switch {
-            let ckpt = Rc::clone(&rs.checkpoint);
-            self.replay = None;
-            self.restore(&ckpt);
-            return None;
-        }
-        let key = make_key();
-        let rec = &rs.ops[rs.cursor];
-        if *rec.key() != key {
-            let msg = format!(
-                "{REPLAY_MISMATCH}: op {} was recorded as {:?} but the driver issued {:?}",
-                rs.cursor,
-                rec.key(),
-                key
-            );
-            self.replay = None;
-            panic!("{msg}");
-        }
-        let result = rec.result().clone();
-        rs.cursor += 1;
-        Some(result)
-    }
-
-    /// Appends one completed top-level op to the recording and runs the
-    /// boundary probe. Only called at depth 0 with recording active.
-    fn record_op(&mut self, key: OpKey, result: OpResult) {
-        let Some(log) = &mut self.op_log else { return };
-        log.push(OpRecord::new(key, result));
-        let ops_done = log.len();
-        if let Some(mut probe) = self.boundary_probe.take() {
-            probe(self, ops_done);
-            // A probe installed mid-probe would be a re-entrancy bug; keep
-            // the original unless the probe replaced itself.
-            if self.boundary_probe.is_none() {
-                self.boundary_probe = Some(probe);
-            }
-        }
-    }
-
-    /// `true` when the current top-level op should be recorded.
-    #[inline]
-    fn recording_top_level(&self) -> bool {
-        self.depth == 0 && self.op_log.is_some()
     }
 
     /// Roots `id` in the innermost live frame; no-op at driver level, where

@@ -47,14 +47,14 @@ fn bank_program() -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let audit = vm.construct("AuditLog", &[])?;
-            vm.root(audit);
-            let account = vm.construct("Account", &[Value::Int(100), Value::Ref(audit)])?;
-            vm.root(account);
-            vm.call(account, "withdraw", &[Value::Int(30)])?;
-            vm.call(account, "withdraw", &[Value::Int(20)])?;
-            vm.call(account, "balance", &[])
+        |d| {
+            let audit = d.construct("AuditLog", &[])?;
+            d.root(audit);
+            let account = d.construct("Account", &[Value::Int(100), Value::Ref(audit)])?;
+            d.root(account);
+            d.call(account, "withdraw", &[Value::Int(30)])?;
+            d.call(account, "withdraw", &[Value::Int(20)])?;
+            d.call(account, "balance", &[])
         },
     )
 }

@@ -49,20 +49,20 @@ fn pathological_program() -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let p = vm.construct("P", &[])?;
-            vm.root(p);
+        |d| {
+            let p = d.construct("P", &[])?;
+            d.root(p);
             // Application-level retry loop: swallows failures and tries
             // again; the leaked lock turns it into an infinite loop that
             // only the fuel budget can end.
             loop {
-                match vm.call(p, "transact", &[]) {
+                match d.call(p, "transact", &[]) {
                     Ok(_) => break,
                     Err(_) => continue,
                 }
             }
-            let _ = vm.call(p, "strict", &[]);
-            vm.call(p, "calm", &[])
+            d.call_absorbed(p, "strict", &[]);
+            d.call(p, "calm", &[])
         },
     )
 }

@@ -233,13 +233,13 @@ fn reclaim_under_open_wrapper() -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let holder = vm.construct("Holder", &[])?;
-            vm.root(holder);
-            let m = vm.construct("M", &[])?;
-            vm.root(m);
-            vm.call(holder, "init", &[])?;
-            vm.call(holder, "drop", &[Value::Ref(m)])
+        |d| {
+            let holder = d.construct("Holder", &[])?;
+            d.root(holder);
+            let m = d.construct("M", &[])?;
+            d.root(m);
+            d.call(holder, "init", &[])?;
+            d.call(holder, "drop", &[Value::Ref(m)])
         },
     )
 }

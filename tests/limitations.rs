@@ -38,10 +38,10 @@ fn external_side_effects_are_invisible() {
             });
             rb.build()
         },
-        |vm| {
-            let l = vm.construct("Logger", &[])?;
-            vm.root(l);
-            vm.call(l, "logTwice", &[Value::Int(7)])
+        |d| {
+            let l = d.construct("Logger", &[])?;
+            d.root(l);
+            d.call(l, "logTwice", &[Value::Int(7)])
         },
     );
     let result = Campaign::new(&program).run();
@@ -78,6 +78,13 @@ fn incomplete_graphs_never_create_false_positives() {
             let mut rb = RegistryBuilder::new(Profile::cpp());
             rb.class("Holder", |c| {
                 c.field("mystery", Value::Null);
+                // Plant a pointer to an id that was never allocated: the
+                // traversal records a hole instead of a subgraph.
+                c.ctor(|ctx, this, _| {
+                    let dangling = atomask_suite::ObjId::from_raw(u64::MAX);
+                    ctx.set(this, "mystery", Value::Ref(dangling));
+                    Ok(Value::Null)
+                });
                 c.method("helper", |_, _, _| Ok(Value::Null));
                 // Read-only method on an object holding a dangling pointer.
                 c.method("peek", |ctx, this, _| {
@@ -87,20 +94,11 @@ fn incomplete_graphs_never_create_false_positives() {
             });
             rb.build()
         },
-        |vm| {
-            let h = vm.construct("Holder", &[])?;
-            vm.root(h);
-            // Plant a pointer to an id that was never allocated: the
-            // traversal records a hole instead of a subgraph.
-            vm.heap_mut()
-                .set_field(
-                    h,
-                    "mystery",
-                    Value::Ref(atomask_suite::ObjId::from_raw(u64::MAX)),
-                )
-                .unwrap();
-            vm.call(h, "peek", &[])?;
-            vm.call(h, "peek", &[])
+        |d| {
+            let h = d.construct("Holder", &[])?;
+            d.root(h);
+            d.call(h, "peek", &[])?;
+            d.call(h, "peek", &[])
         },
     );
     let result = Campaign::new(&program).run();
@@ -147,10 +145,10 @@ fn conservative_classification_and_its_cure() {
                 });
                 rb.build()
             },
-            |vm| {
-                let a = vm.construct("A", &[])?;
-                vm.root(a);
-                vm.call(a, "update", &[Value::Int(5)])
+            |d| {
+                let a = d.construct("A", &[])?;
+                d.root(a);
+                d.call(a, "update", &[Value::Int(5)])
             },
         )
     };

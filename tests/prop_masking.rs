@@ -70,11 +70,11 @@ fn scripted_program(steps: Vec<Step>) -> FnProgram {
             });
             rb.build()
         },
-        |vm| {
-            let s = vm.construct("Scripted", &[])?;
-            vm.root(s);
-            vm.call(s, "scripted", &[])?;
-            vm.call(s, "scripted", &[])
+        |d| {
+            let s = d.construct("Scripted", &[])?;
+            d.root(s);
+            d.call(s, "scripted", &[])?;
+            d.call(s, "scripted", &[])
         },
     )
 }
