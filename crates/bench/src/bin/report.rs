@@ -1,9 +1,9 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! report [table1|fig2|fig3|fig4|fig5|casestudy|perf|all] [--quick]
+//! report [table1|fig2|fig3|fig4|fig5|casestudy|all] [--quick]
 //! report repro --app <name> --point <n>
-//! report perfgate [--tolerance <pct>]
+//! report gate
 //! ```
 //!
 //! Without a subcommand it runs `all`; an unknown subcommand prints this
@@ -12,48 +12,40 @@
 //! `--quick` caps every campaign at 300 injection points and shrinks the
 //! Fig. 5 grid; without it the full sweeps run (as in the paper).
 //!
-//! `perf` profiles the detection campaigns — sequential vs. sharded sweep
-//! wall time and eager vs. lazy capture cost — and writes the results to
-//! `BENCH_detection.json` (worker count from `ATOMASK_WORKERS`, default 4).
-//!
 //! `repro` replays one injection point of one suite application with the
 //! flight recorder on: it prints the full event trace, the minimized
 //! divergence, and a comparison against a fresh campaign's recorded
 //! classification of the same point.
 //!
-//! `perfgate` is the CI throughput smoke test: it re-measures every
-//! application's *sequential* sweep, compares the geomean points/sec
-//! against the committed `BENCH_detection.json`, and exits non-zero when
-//! the live number regresses by more than the tolerance (default 20%).
-//! Faster-than-committed is never an error — CI machines vary; the gate
-//! only catches real throughput cliffs.
+//! `gate` is the CI performance gate. For every suite application it
+//! times detection and masking verification on the default engine
+//! against the same campaign with checkpoint-resume off and with eager
+//! capture, prints the four reference/default ratios, and exits 1 when
+//! any ratio falls below its floor (see `atomask_bench::CHECKS`). It
+//! takes no options.
 
 use atomask::report::{
     render_case_study, render_class_distribution, render_method_classification, render_overhead,
     render_replay, render_run_health, render_table1,
 };
 use atomask::{classify, overhead, Campaign, Lang, MarkFilter};
-use atomask_bench::{
-    detection_perf_json, evaluate_apps, geomean, geomean_sequential_pps, measure_detection,
-    parse_sequential_pps,
-};
+use atomask_bench::{evaluate_apps, gate_failures, geomean, measure_app, Timing, CHECKS};
 
 /// The subcommand forms listed in the module doc.
-const USAGE: &str = "usage: report [table1|fig2|fig3|fig4|fig5|casestudy|perf|all] [--quick]
+const USAGE: &str = "usage: report [table1|fig2|fig3|fig4|fig5|casestudy|all] [--quick]
        report repro --app <name> --point <n>
-       report perfgate [--tolerance <pct>]";
+       report gate";
 
-const SUBCOMMANDS: [&str; 10] = [
+const SUBCOMMANDS: [&str; 9] = [
     "table1",
     "fig2",
     "fig3",
     "fig4",
     "fig5",
     "casestudy",
-    "perf",
     "all",
     "repro",
-    "perfgate",
+    "gate",
 ];
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -101,42 +93,45 @@ fn repro(args: &[String]) {
     }
 }
 
-fn perfgate(args: &[String]) {
-    let tolerance_pct: f64 = flag_value(args, "--tolerance")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
-    let committed = std::fs::read_to_string("BENCH_detection.json").unwrap_or_else(|e| {
-        eprintln!("perfgate: cannot read BENCH_detection.json: {e}");
-        std::process::exit(2);
-    });
-    let committed_pps = parse_sequential_pps(&committed);
-    if committed_pps.is_empty() {
-        eprintln!("perfgate: no sequential_points_per_sec rows in BENCH_detection.json");
-        std::process::exit(2);
-    }
-    let committed_geomean = geomean(committed_pps.iter().copied());
-    // Sequential throughput only: it is what the committed geomean tracks
-    // and it sidesteps CI-runner core-count variance entirely. Workers=1
-    // below is the sharding plan, not the sweep shape — `measure_detection`
-    // still times its parallel leg, which the gate ignores.
-    let rows: Vec<_> = atomask::apps::all_apps()
+fn gate() {
+    let apps = atomask::apps::all_apps();
+    let names: Vec<&str> = CHECKS.iter().map(|c| c.name).collect();
+    println!(
+        "gate: reference/default time per app ({})",
+        names.join(", ")
+    );
+    let timings: Vec<[Timing; 4]> = apps
         .iter()
         .map(|spec| {
-            eprintln!("perfgate: profiling {} ...", spec.name);
-            measure_detection(spec, None, 1)
+            let timings = measure_app(spec);
+            let ratios: Vec<String> = timings
+                .iter()
+                .map(|t| t.ratio().map_or("-".to_owned(), |r| format!("{r:.2}")))
+                .collect();
+            println!("  {:<14}{}", spec.name, ratios.join("  "));
+            timings
         })
         .collect();
-    let live_geomean = geomean_sequential_pps(&rows);
-    let floor = committed_geomean * (1.0 - tolerance_pct / 100.0);
-    println!(
-        "perfgate: sequential geomean {live_geomean:.1} points/sec \
-         (committed {committed_geomean:.1}, floor {floor:.1} at -{tolerance_pct:.0}%)"
-    );
-    if live_geomean < floor {
-        println!("perfgate: FAIL — sequential sweep throughput regressed past the tolerance");
+    let readings: Vec<(&str, Option<f64>, f64)> = CHECKS
+        .iter()
+        .enumerate()
+        .map(|(i, check)| {
+            let reading = geomean(timings.iter().map(|t| t[i].ratio()));
+            (check.name, reading, check.floor)
+        })
+        .collect();
+    for &(name, reading, floor) in &readings {
+        let shown = reading.map_or("-".to_owned(), |r| format!("{r:.3}"));
+        println!("gate: {name:<21} {shown} (floor {floor:.2})");
+    }
+    let failures = gate_failures(&readings);
+    for failure in &failures {
+        println!("gate: FAIL — {failure}");
+    }
+    if !failures.is_empty() {
         std::process::exit(1);
     }
-    println!("perfgate: ok");
+    println!("gate: ok");
 }
 
 fn main() {
@@ -157,8 +152,12 @@ fn main() {
         repro(&args);
         return;
     }
-    if what == "perfgate" {
-        perfgate(&args);
+    if what == "gate" {
+        if args.len() != 1 {
+            eprintln!("`report gate` takes no options\n{USAGE}");
+            std::process::exit(2);
+        }
+        gate();
         return;
     }
 
@@ -208,22 +207,6 @@ fn main() {
         }
         println!("Ablation: undo-log wrappers at 100% wrapped calls (§6.2)");
         println!("{}", render_overhead(&undo));
-    }
-    if matches!(what, "perf" | "all") {
-        let workers = std::env::var("ATOMASK_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&w| w > 0)
-            .unwrap_or(4);
-        let mut rows = Vec::new();
-        for spec in atomask::apps::all_apps() {
-            eprintln!("profiling detection sweep for {} ...", spec.name);
-            rows.push(measure_detection(&spec, cap, workers));
-        }
-        let json = detection_perf_json(&rows, workers);
-        std::fs::write("BENCH_detection.json", &json).expect("write BENCH_detection.json");
-        eprintln!("wrote BENCH_detection.json");
-        println!("{json}");
     }
     if matches!(what, "casestudy" | "all") {
         eprintln!("running LinkedList case study ...");

@@ -57,8 +57,8 @@ pub use atomask_inject::{
     SurvivingWrite, TraceMode, Verdict, VerdictCounts,
 };
 pub use atomask_mask::{
-    verify_masked, verify_masked_configured, verify_masked_with, MaskStats, MaskStrategy,
-    MaskingHook, Policy, UndoMaskingHook, UndoStats, WrapSet,
+    verify_masked, verify_masked_configured, MaskStats, MaskStrategy, MaskingHook, Policy,
+    UndoMaskingHook, UndoStats, WrapSet,
 };
 pub use atomask_mor::{
     AsOfHeap, Budget, CallHook, CallKind, CallSite, ClassBuilder, ClassId, Ctx, Driver, ExcId,

@@ -114,9 +114,8 @@ pub enum CheckpointStride {
 
 impl CheckpointStride {
     /// The effective stride for an `N`-point sweep, or `None` for
-    /// checkpoint-resume off. Public so the bench harness can report the
-    /// stride a sweep actually ran with.
-    pub fn resolve(self, total_points: u64) -> Option<u64> {
+    /// checkpoint-resume off.
+    pub(crate) fn resolve(self, total_points: u64) -> Option<u64> {
         match self {
             CheckpointStride::Off => None,
             CheckpointStride::Every(n) => (n > 0).then_some(n),

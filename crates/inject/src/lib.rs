@@ -65,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyzer;
 mod campaign;
 mod classify;
 mod hook;
@@ -74,7 +73,6 @@ mod marks;
 mod replay;
 mod suggest;
 
-pub use analyzer::{method_injection_plan, InjectionPlan};
 pub use campaign::{
     silent_diagnostics, stderr_diagnostics, Campaign, CampaignConfig, CampaignResult,
     CheckpointStride, DiagnosticsFn, RetryPolicy, RunHealth, RunOutcome, RunResult, TraceMode,

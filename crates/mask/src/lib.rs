@@ -68,4 +68,4 @@ mod verify;
 pub use hook::{MaskStats, MaskingHook, WrapSet};
 pub use policy::Policy;
 pub use undo::{UndoMaskingHook, UndoStats};
-pub use verify::{verify_masked, verify_masked_configured, verify_masked_with, MaskStrategy};
+pub use verify::{verify_masked, verify_masked_configured, MaskStrategy};

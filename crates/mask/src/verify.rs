@@ -52,28 +52,19 @@ pub fn verify_masked(
     mask_set: &HashSet<MethodId>,
     filter: &MarkFilter,
 ) -> Classification {
-    verify_masked_with(program, mask_set, filter, MaskStrategy::DeepCopy)
-}
-
-/// [`verify_masked`] with an explicit wrapper [`MaskStrategy`].
-pub fn verify_masked_with(
-    program: &dyn Program,
-    mask_set: &HashSet<MethodId>,
-    filter: &MarkFilter,
-    strategy: MaskStrategy,
-) -> Classification {
     verify_masked_configured(
         program,
         mask_set,
         filter,
-        strategy,
+        MaskStrategy::DeepCopy,
         CampaignConfig::default(),
         None,
     )
 }
 
-/// [`verify_masked_with`] under an explicit [`CampaignConfig`] (fuel
-/// budget, retry policy, failure cap) and an optional injection-point cap.
+/// [`verify_masked`] under an explicit wrapper [`MaskStrategy`] and
+/// [`CampaignConfig`] (fuel budget, retry policy, failure cap, capture
+/// mode, checkpoint stride) and an optional injection-point cap.
 ///
 /// The resulting [`Classification::health`] reports how much of the
 /// verification sweep was diverged, panicked, or skipped — a verification
@@ -180,8 +171,14 @@ mod tests {
         let policy = Policy::default();
         let c = classify(&detection, &policy.mark_filter());
         let mask_set = policy.mask_set(&c);
-        let verified =
-            verify_masked_with(&p, &mask_set, &policy.mark_filter(), MaskStrategy::UndoLog);
+        let verified = verify_masked_configured(
+            &p,
+            &mask_set,
+            &policy.mark_filter(),
+            MaskStrategy::UndoLog,
+            CampaignConfig::default(),
+            None,
+        );
         assert_eq!(verified.method_counts.pure_nonatomic, 0, "{verified:#?}");
         assert_eq!(verified.method_counts.conditional, 0, "{verified:#?}");
     }

@@ -243,11 +243,6 @@ impl Vm {
         &self.stats
     }
 
-    /// Resets call statistics (heap state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CallStats::new(self.registry.method_count());
-    }
-
     /// Takes the statistics out of the VM, leaving zeroed counters — lets
     /// a campaign keep a finished run's counts without cloning the vector.
     pub fn take_stats(&mut self) -> CallStats {
