@@ -3,15 +3,14 @@
 //!
 //! The campaign-level equivalence suites pass whether a resumed point runs
 //! from its checkpoint or quietly falls back to running from scratch. This
-//! suite checks the resume itself, on the sixteen real drivers: no replay
-//! mismatch, no replay left over when the driver returns, and the same
-//! result, rooted object graph, call statistics, fuel and exception chain
-//! ids as a run that never replayed.
+//! suite checks the resume itself, on the sixteen real drivers: no resume
+//! mismatch, no driver returning before the switch, and the same result,
+//! rooted object graph, call statistics, fuel and exception chain ids as a
+//! run that never replayed.
 
 use atomask_apps::all_apps;
 use atomask_mor::{ExceptionTable, MethodResult, Program, Vm, VmCheckpoint};
 use atomask_objgraph::fingerprint_of_roots;
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
@@ -19,9 +18,6 @@ use std::rc::Rc;
 /// driver has at least `MIN_BOUNDARIES` resumable boundaries.
 const STRIDE: usize = 3;
 const MIN_BOUNDARIES: usize = 3;
-
-/// The checkpoints a recording run captured, keyed by the ops done.
-type Boundaries = Rc<RefCell<Vec<(usize, Rc<VmCheckpoint>)>>>;
 
 /// What a finished run leaves behind.
 #[derive(Debug, PartialEq)]
@@ -65,28 +61,17 @@ fn every_suite_driver_resumes_from_every_boundary() {
         let scratch = outcome(&vm, result);
 
         vm.reset_for_run();
-        let boundaries: Boundaries = Rc::default();
-        vm.start_recording();
-        {
-            let boundaries = Rc::clone(&boundaries);
-            vm.set_boundary_probe(Some(Box::new(move |vm, ops| {
-                if ops % STRIDE == 0 {
-                    boundaries
-                        .borrow_mut()
-                        .push((ops, Rc::new(vm.checkpoint())));
-                }
-            })));
-        }
-        let result = program.run(&mut vm);
-        let ops = Rc::new(vm.finish_recording().expect("recording was active"));
+        // The checkpoints the recording run captured, keyed by the ops done.
+        let mut boundaries: Vec<(usize, VmCheckpoint)> = Vec::new();
+        let (result, ops) = program.record(&mut vm, &mut |vm, ops| {
+            if ops % STRIDE == 0 {
+                boundaries.push((ops, vm.checkpoint()));
+            }
+        });
         assert_eq!(outcome(&vm, result), scratch, "{}: recording", app.name);
 
         // A boundary after the last op has no live tail to switch into.
-        let boundaries: Vec<_> = boundaries
-            .take()
-            .into_iter()
-            .filter(|(switch, _)| *switch < ops.len())
-            .collect();
+        boundaries.retain(|(switch, _)| *switch < ops.len());
         assert!(
             boundaries.len() >= MIN_BOUNDARIES,
             "{}: {} ops give only {} boundaries",
@@ -94,16 +79,15 @@ fn every_suite_driver_resumes_from_every_boundary() {
             ops.len(),
             boundaries.len()
         );
-        for (switch, ckpt) in boundaries {
+        for (switch, ckpt) in &boundaries {
             vm.reset_for_run();
-            vm.begin_replay(Rc::clone(&ops), switch, ckpt);
-            let result = catch_unwind(AssertUnwindSafe(|| program.run(&mut vm)))
-                .unwrap_or_else(|_| panic!("{}: resume at op {switch} panicked", app.name));
-            assert!(
-                !vm.replay_active(),
-                "{}: resume at op {switch} never went live",
-                app.name
-            );
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                program.resume_from(&mut vm, &ops, *switch, ckpt)
+            }))
+            .unwrap_or_else(|_| panic!("{}: resume at op {switch} panicked", app.name))
+            .unwrap_or_else(|m| {
+                panic!("{}: resume at op {switch} never went live: {m:?}", app.name)
+            });
             assert_eq!(
                 outcome(&vm, result),
                 scratch,

@@ -42,10 +42,10 @@ fn parse(args: &[String]) -> Option<Options> {
         wrap_conditional: false,
         undo_log: false,
     };
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--cap" => opts.cap = it.next().and_then(|v| v.parse().ok()),
+            "--cap" => opts.cap = Some(it.next()?.parse().ok()?),
             "--verbose" => opts.verbose = true,
             "--wrap-conditional" => opts.wrap_conditional = true,
             "--undo-log" => opts.undo_log = true,

@@ -50,10 +50,9 @@ pub mod synthetic;
 pub use pipeline::{Pipeline, PipelineReport};
 
 pub use atomask_inject::{
-    classify, silent_diagnostics, stderr_diagnostics, suggest_exception_free, Campaign,
-    CampaignConfig, CampaignJournal, CampaignResult, CaptureMode, CaptureStats, CheckpointStride,
-    Classification, DiagnosticsFn, Divergence, InjectionHook, Mark, MarkFilter,
-    MethodClassification, ReplayReport, RetryPolicy, RunHealth, RunOutcome, RunResult,
+    classify, suggest_exception_free, Campaign, CampaignConfig, CampaignJournal, CampaignResult,
+    CaptureMode, CaptureStats, CheckpointStride, Classification, Divergence, InjectionHook, Mark,
+    MarkFilter, MethodClassification, ReplayReport, RetryPolicy, RunHealth, RunOutcome, RunResult,
     SurvivingWrite, TraceMode, Verdict, VerdictCounts,
 };
 pub use atomask_mask::{

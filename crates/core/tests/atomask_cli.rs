@@ -1,5 +1,6 @@
 //! The `atomask` binary's command line: `verify` reports on the strategy
-//! and cap it was given, and a bad invocation fails with the usage.
+//! and cap it was given, and a bad invocation — an unknown flag, or a
+//! `--cap` without an integer — fails with the usage.
 
 use std::process::Command;
 
@@ -32,4 +33,22 @@ fn bad_invocation_prints_usage_and_fails() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage:"), "{stderr}");
     assert!(stderr.contains("atomask verify <app>"), "{stderr}");
+}
+
+#[test]
+fn cap_without_an_integer_prints_usage_and_fails() {
+    for args in [
+        &["detect", "LinkedBuffer", "--cap", "abc"][..],
+        &["detect", "LinkedBuffer", "--cap"][..],
+    ] {
+        let out = atomask(args);
+        assert!(
+            !out.status.success(),
+            "{args:?}: exit status {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
 }

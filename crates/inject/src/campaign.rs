@@ -43,7 +43,7 @@ use crate::marks::Mark;
 use crate::replay::{Divergence, ReplayReport};
 use atomask_mor::{
     Budget, CallHook, ExcId, MethodId, OpRecord, Program, Registry, RingBufferSink, TraceSink, Vm,
-    VmCheckpoint, REPLAY_MISMATCH,
+    VmCheckpoint,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -56,20 +56,6 @@ use std::sync::mpsc;
 /// `Send + Sync` because campaign workers invoke it from their own
 /// threads (the produced hook itself stays thread-local).
 type InnerHookFactory = Box<dyn Fn(&Registry) -> Rc<RefCell<dyn CallHook>> + Send + Sync>;
-
-/// Sink for campaign diagnostics (warnings that used to go straight to
-/// stderr). A plain function pointer so [`CampaignConfig`] stays `Copy`
-/// and `Eq`.
-pub type DiagnosticsFn = fn(&str);
-
-/// The default [`DiagnosticsFn`]: one line to stderr.
-pub fn stderr_diagnostics(message: &str) {
-    eprintln!("{message}");
-}
-
-/// A [`DiagnosticsFn`] that swallows everything (useful in tests and when
-/// a harness renders health from the journal instead).
-pub fn silent_diagnostics(_message: &str) {}
 
 /// Whether campaign runs record a flight-recorder trace. Sweeps never
 /// do — [`Campaign::replay`] is the one traced execution — so `Off` is
@@ -87,8 +73,9 @@ pub enum TraceMode {
 /// for checkpoint-resume execution (see `DESIGN.md` §10).
 ///
 /// With checkpoint-resume on, the campaign performs one *recording* run —
-/// the program executes normally under an observing hook while the VM logs
-/// every top-level driver operation and captures an
+/// the program executes normally under an observing hook while its driver
+/// logs every top-level operation ([`Program::record`]) and the campaign
+/// captures an
 /// [`atomask_mor::VmCheckpoint`] each time the point counter crosses a
 /// stride boundary. Every injection run then *replays* the recorded prefix
 /// up to the nearest checkpoint strictly before its target point, restores
@@ -201,7 +188,7 @@ impl RetryPolicy {
 }
 
 /// Knobs governing a campaign's resilience and execution behaviour.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Fuel budget of each injector run (and each retry's base, before
     /// scaling). Defaults to [`Budget::unlimited`] — the paper's campaigns
@@ -237,39 +224,7 @@ pub struct CampaignConfig {
     /// inner-hook (verification) campaigns included; results and journals
     /// are bit-identical to from-scratch execution.
     pub checkpoint_stride: CheckpointStride,
-    /// Where campaign warnings go. Defaults to [`stderr_diagnostics`].
-    pub diagnostics: DiagnosticsFn,
 }
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            budget: Budget::default(),
-            retry: RetryPolicy::default(),
-            max_failures: None,
-            workers: 0,
-            capture: CaptureMode::default(),
-            trace: TraceMode::default(),
-            checkpoint_stride: CheckpointStride::default(),
-            diagnostics: stderr_diagnostics,
-        }
-    }
-}
-
-impl PartialEq for CampaignConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.budget == other.budget
-            && self.retry == other.retry
-            && self.max_failures == other.max_failures
-            && self.workers == other.workers
-            && self.capture == other.capture
-            && self.trace == other.trace
-            && self.checkpoint_stride == other.checkpoint_stride
-            && std::ptr::fn_addr_eq(self.diagnostics, other.diagnostics)
-    }
-}
-
-impl Eq for CampaignConfig {}
 
 /// One resumable boundary of a recorded sweep: the op-log cursor and point
 /// counter at a quiescent top-level boundary, the injector-prefix state a
@@ -286,17 +241,17 @@ struct SweepCheckpoint {
     marks: Vec<Mark>,
     /// The prefix's capture-cost counters.
     stats: CaptureStats,
-    /// The structural VM state at the boundary, shared by every run that
-    /// resumes here.
-    vm: Rc<VmCheckpoint>,
+    /// The structural VM state at the boundary, restored by every run
+    /// that resumes here.
+    vm: VmCheckpoint,
 }
 
 /// The product of one recording run: the top-level op log plus the strided
-/// checkpoints, shared (within one thread) by every resumed run of the
+/// checkpoints, read (within one thread) by every resumed run of the
 /// sweep.
 #[derive(Debug)]
 struct SweepPlan {
-    ops: Rc<Vec<OpRecord>>,
+    ops: Vec<OpRecord>,
     /// Ascending by `point` (and by `op_cursor`): captured in execution
     /// order, at most one per point value.
     checkpoints: Vec<SweepCheckpoint>,
@@ -661,10 +616,10 @@ impl<'p> Campaign<'p> {
                 // program that panics or diverges even without injection
                 // still yields a (partially) sized campaign.
                 if catch_unwind(AssertUnwindSafe(|| self.program.run(&mut vm))).is_err() {
-                    (self.config.diagnostics)(&format!(
+                    eprintln!(
                         "warning: baseline run of `{}` panicked; campaign sized from the points counted before the panic",
                         self.program.name()
-                    ));
+                    );
                 }
                 vm.set_hook(None);
                 let total_points = counter.borrow().points();
@@ -816,12 +771,12 @@ impl<'p> Campaign<'p> {
     }
 
     /// A point executor over one recycled VM universe on `registry` (and
-    /// its own sweep plan, when `stride` asks for one: plans hold `Rc`s, so
-    /// every worker records its own): every point it is handed runs to a
-    /// final [`RunResult`]. `run_point` already isolates
-    /// guest panics; a panic *outside* it is a harness bug, recorded as
-    /// [`RunResult::harness_panic`] so the ordered writer never waits on
-    /// the point. The VM is safe to keep either way: the next attempt's
+    /// its own sweep plan, when `stride` asks for one: recorded values
+    /// share `Rc` storage, so every worker records its own): every point
+    /// it is handed runs to a final [`RunResult`]. `run_point` already
+    /// isolates guest panics; a panic *outside* it is a harness bug,
+    /// recorded as [`RunResult::harness_panic`] so the ordered writer never
+    /// waits on the point. The VM is safe to keep either way: the next attempt's
     /// `reset_for_run` discards whatever the unwind left.
     fn executor(
         &self,
@@ -843,8 +798,9 @@ impl<'p> Campaign<'p> {
     /// Runs one injection point to a final outcome, retrying unhealthy runs
     /// per the [`RetryPolicy`] with a scaled-up budget. With a sweep plan,
     /// every attempt resumes from the nearest checkpoint strictly before
-    /// the target; a replay mismatch (the determinism guard tripping)
-    /// demotes the point to from-scratch execution permanently.
+    /// the target; a [`atomask_mor::ResumeMismatch`] (the determinism
+    /// guard tripping) demotes the point to from-scratch execution
+    /// permanently.
     fn run_point(&self, vm: &mut Vm, injection_point: u64, plan: Option<&SweepPlan>) -> RunResult {
         let mut budget = self.config.budget;
         let mut retries = 0u32;
@@ -868,15 +824,15 @@ impl<'p> Campaign<'p> {
     }
 
     /// One recording run: executes the program normally under an observing
-    /// hook while the VM logs top-level driver ops, capturing a
+    /// hook while its driver records the top-level ops, capturing a
     /// [`SweepCheckpoint`] whenever the point counter crosses a stride
     /// threshold. Returns `None` — checkpoint-resume off for this sweep —
-    /// unless the recording is *healthy*: no panic, no fuel exhaustion, no
-    /// replay residue. Health is load-bearing for equivalence: a healthy
-    /// recording under the base budget proves that every injection run's
-    /// pre-target prefix (an identical execution up to the checkpoint)
-    /// completes without panicking or exhausting any attempt's budget,
-    /// since retries only ever scale budgets up.
+    /// unless the recording is *healthy*: no panic and no fuel exhaustion.
+    /// Health is load-bearing for equivalence: a healthy recording under
+    /// the base budget proves that every injection run's pre-target prefix
+    /// (an identical execution up to the checkpoint) completes without
+    /// panicking or exhausting any attempt's budget, since retries only
+    /// ever scale budgets up.
     fn record_plan(&self, vm: &mut Vm, stride: u64) -> Option<SweepPlan> {
         vm.reset_for_run();
         vm.set_budget(self.config.budget);
@@ -884,58 +840,44 @@ impl<'p> Campaign<'p> {
             InjectionHook::observing().capture(self.config.capture),
         ));
         self.install(vm, hook.clone());
-        let checkpoints: Rc<RefCell<Vec<SweepCheckpoint>>> = Rc::default();
-        vm.start_recording();
-        {
-            let hook = Rc::clone(&hook);
-            let checkpoints = Rc::clone(&checkpoints);
-            // First capture as soon as any point exists (a point-0 boundary
-            // checkpoint could serve no target the prefix-less run cannot),
-            // then one every `stride` points.
-            let mut threshold = 1u64;
-            vm.set_boundary_probe(Some(Box::new(move |vm, op_cursor| {
-                let h = hook.borrow();
-                let point = h.points();
-                if point >= threshold {
-                    checkpoints.borrow_mut().push(SweepCheckpoint {
-                        op_cursor,
-                        point,
-                        marks: h.marks().to_vec(),
-                        stats: h.capture_stats(),
-                        vm: Rc::new(vm.checkpoint()),
-                    });
-                    threshold = point + stride;
-                }
-            })));
-        }
-        let panicked = catch_unwind(AssertUnwindSafe(|| self.program.run(&mut *vm))).is_err();
-        let ops = vm.finish_recording().expect("recording was active");
+        let mut checkpoints = Vec::new();
+        // First capture as soon as any point exists (a point-0 boundary
+        // checkpoint could serve no target the prefix-less run cannot),
+        // then one every `stride` points.
+        let mut threshold = 1u64;
+        let mut at_boundary = |vm: &Vm, op_cursor| {
+            let h = hook.borrow();
+            let point = h.points();
+            if point >= threshold {
+                checkpoints.push(SweepCheckpoint {
+                    op_cursor,
+                    point,
+                    marks: h.marks().to_vec(),
+                    stats: h.capture_stats(),
+                    vm: vm.checkpoint(),
+                });
+                threshold = point + stride;
+            }
+        };
+        let recorded = catch_unwind(AssertUnwindSafe(|| {
+            self.program.record(&mut *vm, &mut at_boundary)
+        }));
         vm.set_hook(None);
-        let healthy = !panicked && !vm.fuel_exhausted() && !vm.replay_active();
-        if !healthy {
-            return None;
-        }
-        drop(hook);
-        let mut checkpoints = Rc::try_unwrap(checkpoints)
-            .expect("probe released its clone")
-            .into_inner();
+        let (_, ops) = recorded.ok().filter(|_| !vm.fuel_exhausted())?;
         // A checkpoint at the very end of the op log has no live tail to
         // switch into — a resumed run would replay the whole driver and
-        // trip the leftover-replay guard. Never schedule one.
+        // come back as a mismatch. Never schedule one.
         checkpoints.retain(|c| c.op_cursor < ops.len());
-        Some(SweepPlan {
-            ops: Rc::new(ops),
-            checkpoints,
-        })
+        Some(SweepPlan { ops, checkpoints })
     }
 
     /// One isolated attempt at one injection point under `hook`: the one
     /// place a run executes and a [`RunResult`] is built, behind both the
     /// sweep and [`Campaign::replay`]. Only replay attaches a flight
     /// recorder `tracer`; sweeps pass `None`. Returns `None` only when a
-    /// resumed start's determinism guard trips (replay mismatch, or the
-    /// driver finished while still replaying); the caller then runs the
-    /// point from scratch.
+    /// resumed start comes back as a [`atomask_mor::ResumeMismatch`] (the
+    /// determinism guard tripped); the caller then runs the point from
+    /// scratch.
     fn attempt(
         &self,
         vm: &mut Vm,
@@ -960,29 +902,26 @@ impl<'p> Campaign<'p> {
         };
         let hook = Rc::new(RefCell::new(hook));
         self.install(vm, hook.clone());
-        if let Start::Resume(plan, ckpt) = start {
-            vm.begin_replay(Rc::clone(&plan.ops), ckpt.op_cursor, Rc::clone(&ckpt.vm));
-        }
         // Panic isolation: a panicking application body unwinds out of
-        // `Program::run`; the VM is only inspected for fuel afterwards and
+        // the driver; the VM is only inspected for fuel afterwards and
         // then reset before its next run, so AssertUnwindSafe is sound here.
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.program.run(&mut *vm)));
-        let replay_leftover = vm.replay_active();
-        vm.clear_replay();
+        let outcome = catch_unwind(AssertUnwindSafe(|| match start {
+            Start::Scratch => Some(self.program.run(&mut *vm)),
+            Start::Resume(plan, ckpt) => self
+                .program
+                .resume_from(&mut *vm, &plan.ops, ckpt.op_cursor, &ckpt.vm)
+                .ok(),
+        }));
         // Release the VM's clones of both hooks so the results can be moved
         // out, and its tracer clone so callers can unwrap the ring buffer.
         vm.set_hook(None);
         vm.set_tracer(None);
+        let outcome = outcome.transpose()?;
         let diverged = vm.fuel_exhausted();
         let fuel_spent = vm.fuel_spent();
-        if let Start::Resume(..) = start {
-            let mismatch = matches!(&outcome,
-                Err(payload) if panic_message(payload.as_ref()).contains(REPLAY_MISMATCH));
-            if mismatch || replay_leftover {
-                return None;
-            }
-        }
-        let mut hook = extract_hook_state(hook, self.config.diagnostics);
+        let mut hook = Rc::try_unwrap(hook)
+            .expect("set_hook(None) released the VM's clone of the injection hook")
+            .into_inner();
         let divergence = hook.take_divergence();
         let capture = hook.capture_stats();
         // An exhausted budget wins over how the run happened to end: both
@@ -1026,14 +965,14 @@ impl<'p> Campaign<'p> {
     /// recorded as [`RunOutcome::Skipped`] is executed for real here, under
     /// a fresh `config.budget`.
     ///
-    /// Replay is the one literal-loop reference: unlike the sweep it runs
-    /// every point from scratch with the injection wrappers' fast-forward
-    /// **off**, so it counts points through Listing 1's per-exception-type
-    /// loop and performs the full structural comparison, never the
-    /// fingerprint fast path. The sweep must agree with it run for run
-    /// (`tests/fastforward_equivalence.rs`), so a replay that disagrees
-    /// with the sweep's journal indicts the fast-forward gate or the
-    /// checkpoint-resume engine.
+    /// Replay runs the point from scratch, never resumed, so it is the
+    /// reference the checkpoint-resume engine answers to: the sweep must
+    /// agree with it run for run (`tests/fastforward_equivalence.rs`).
+    /// Its first pass is the sweep's own run — same counter-gated
+    /// counting, same capture mode, minimizer off — so under the default
+    /// lazy capture it takes the same revert check and fingerprint compare
+    /// as the sweep. Only the second pass, which minimizes the divergence
+    /// of a non-atomic run, skips both for the full structural comparison.
     ///
     /// The replay ring is large (`2^20` events); if a run emits more,
     /// [`ReplayReport::trace_dropped`] says how many early events fell off.
@@ -1042,11 +981,8 @@ impl<'p> Campaign<'p> {
         let registry = Rc::new(self.program.build_registry());
         let mut vm = Vm::from_shared_registry(registry.clone());
         let tracer = Rc::new(RefCell::new(RingBufferSink::new(REPLAY_RING_CAPACITY)));
-        let reference = |capture| {
-            InjectionHook::with_injection_point(injection_point)
-                .capture(capture)
-                .fast_forward(false)
-        };
+        let reference =
+            |capture| InjectionHook::with_injection_point(injection_point).capture(capture);
         let budget = self.config.budget;
         // First pass: the recorded run, bit-for-bit what the sweep journals
         // for this point. No minimizer here — it needs the lazy undo log
@@ -1099,29 +1035,6 @@ impl<'p> Campaign<'p> {
             let inner = factory(vm.registry());
             vm.set_inner_hook(Some(inner));
         }
-    }
-}
-
-/// Recovers the injection hook's state after a run. The fast path takes
-/// sole ownership; if something still shares the `Rc` (a VM that was not
-/// cleared, say), the state is cloned out instead of aborting the whole
-/// campaign.
-fn extract_hook_state(
-    hook: Rc<RefCell<InjectionHook>>,
-    diagnostics: DiagnosticsFn,
-) -> InjectionHook {
-    match Rc::try_unwrap(hook) {
-        Ok(cell) => cell.into_inner(),
-        Err(shared) => match shared.try_borrow() {
-            Ok(state) => {
-                diagnostics("warning: injection hook still shared after run; cloning its state");
-                state.clone()
-            }
-            Err(_) => {
-                diagnostics("warning: injection hook still borrowed after run; its marks are lost");
-                InjectionHook::counting()
-            }
-        },
     }
 }
 

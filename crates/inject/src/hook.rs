@@ -53,10 +53,8 @@ struct LazyGuard;
 ///   `mark(m, atomic|nonatomic, InjectionPoint)` record before rethrowing.
 ///
 /// One hook instance corresponds to one run of the injector program; the
-/// campaign creates a fresh hook (and VM) per injection point. The hook is
-/// `Clone` so the campaign can salvage its state even if something still
-/// shares the `Rc` after a run.
-#[derive(Debug, Clone)]
+/// campaign creates a fresh hook (and VM) per injection point.
+#[derive(Debug)]
 pub struct InjectionHook {
     point: u64,
     injection_point: Option<u64>,
@@ -67,14 +65,6 @@ pub struct InjectionHook {
     marks: Vec<Mark>,
     minimize: bool,
     divergence: Option<Divergence>,
-    /// Whether the fast-forward gate may replace the per-type counting
-    /// loop with arithmetic. The gate reads the monotone counter: below
-    /// the target, a call advances it by its whole exception-type count in
-    /// one step; in the window that holds the target, the firing type is
-    /// picked by offset and the counter set to the target; past it, calls
-    /// advance arithmetically again and can never fire twice. Bit-identical
-    /// to the loop (`tests/fastforward_equivalence.rs`).
-    fast_forward: bool,
     /// Memoized per-object structural hashes for the fingerprint fast
     /// path, persisted across the wrappers of one propagation cascade
     /// (the heap does not mutate while an exception unwinds; the cache
@@ -94,7 +84,6 @@ impl InjectionHook {
             marks: Vec::new(),
             minimize: false,
             divergence: None,
-            fast_forward: true,
             fp_cache: FingerprintCache::new(),
         }
     }
@@ -137,16 +126,6 @@ impl InjectionHook {
     /// point).
     pub fn minimize_divergence(mut self, on: bool) -> Self {
         self.minimize = on;
-        self
-    }
-
-    /// Enables or disables the fast-forward gate (builder style; default
-    /// **on** — the gate is observationally identical to the per-type
-    /// loop). Replay and the divergence minimizer turn it off so the
-    /// debugging path stays on the literal Listing 1 reference execution:
-    /// a sweep/replay disagreement then directly indicts the gate.
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
         self
     }
 
@@ -230,10 +209,9 @@ impl InjectionHook {
     ///    produce the `first_difference` detail for the non-atomic mark
     ///    (and the snapshot the minimizer probes against).
     ///
-    /// When the divergence minimizer is enabled (replay), stages 1-2 are
-    /// skipped: the minimizer needs the full before-snapshot and probes
-    /// the heap (which would thrash the cache), and replay deliberately
-    /// stays on the reference path.
+    /// When the divergence minimizer is enabled (replay's second pass),
+    /// stages 1-2 are skipped: the minimizer needs the full before-snapshot
+    /// and probes the heap (which would thrash the cache).
     fn lazy_compare(&mut self, vm: &mut Vm, site: &CallSite, exc: &Exception) {
         let roots = snapshot_roots(site);
         let heap = vm.heap();
@@ -298,43 +276,26 @@ impl CallHook for InjectionHook {
             return Ok(None);
         }
         // Listing 1 lines 2-5: one potential injection point per exception
-        // type of the wrapped method.
+        // type of the wrapped method. The counter-gated count (DESIGN.md
+        // §9) is the per-type loop's arithmetic: outside the window
+        // holding the target the counter advances by the whole per-method
+        // type count in one step; inside it, the (ip − point)-th type is
+        // exactly the one the loop would have selected.
         let excs = registry.injectable_exceptions(site.method);
         let n = excs.len() as u64;
-        if self.fast_forward {
-            // Counter-gated counting: outside the window holding the
-            // target the counter advances by the whole per-method type
-            // count in one step — identical final value, no iteration.
-            match self.injection_point {
-                Some(ip) if self.point < ip && self.point + n >= ip => {
-                    // The target lands inside this call's window. The
-                    // (ip − point)-th type of this method is exactly the
-                    // one the per-type loop would have selected.
-                    let exc = excs[(ip - self.point - 1) as usize];
-                    self.point = ip;
-                    self.injected = Some((site.method, exc));
-                    vm.trace(TraceEvent::InjectionFire {
-                        method: site.method,
-                        exc,
-                        point: self.point,
-                    });
-                    return Err(Exception::injected(exc, site.method));
-                }
-                _ => self.point += n,
+        match self.injection_point {
+            Some(ip) if self.point < ip && self.point + n >= ip => {
+                let exc = excs[(ip - self.point - 1) as usize];
+                self.point = ip;
+                self.injected = Some((site.method, exc));
+                vm.trace(TraceEvent::InjectionFire {
+                    method: site.method,
+                    exc,
+                    point: self.point,
+                });
+                return Err(Exception::injected(exc, site.method));
             }
-        } else {
-            for &exc in excs {
-                self.point += 1;
-                if Some(self.point) == self.injection_point {
-                    self.injected = Some((site.method, exc));
-                    vm.trace(TraceEvent::InjectionFire {
-                        method: site.method,
-                        exc,
-                        point: self.point,
-                    });
-                    return Err(Exception::injected(exc, site.method));
-                }
-            }
+            _ => self.point += n,
         }
         if !self.observe {
             return Ok(None);

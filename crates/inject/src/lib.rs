@@ -74,8 +74,8 @@ mod replay;
 mod suggest;
 
 pub use campaign::{
-    silent_diagnostics, stderr_diagnostics, Campaign, CampaignConfig, CampaignResult,
-    CheckpointStride, DiagnosticsFn, RetryPolicy, RunHealth, RunOutcome, RunResult, TraceMode,
+    Campaign, CampaignConfig, CampaignResult, CheckpointStride, RetryPolicy, RunHealth, RunOutcome,
+    RunResult, TraceMode,
 };
 pub use classify::{
     classify, ClassRollup, ClassVerdictCounts, Classification, MarkFilter, MethodClassification,

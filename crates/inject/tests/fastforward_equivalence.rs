@@ -1,15 +1,21 @@
-//! The sweep against the literal-loop reference: every run a campaign
-//! journals — counter-gated fast-forward counting, checkpoint-resumed
-//! prefixes, lazy or eager capture, one worker or several — must equal the run [`Campaign::replay`] produces
-//! for that point from scratch, walking Listing 1's per-exception-type
-//! loop with fast-forward off.
+//! The sweep against its references, on a call tree whose methods declare
+//! different numbers of exception types.
 //!
-//! This is the campaign-level proof obligation behind turning the gate on
-//! by default: since the two agree everywhere, a replay/sweep mismatch
-//! indicts the gate or the resume engine.
+//! * Every run a campaign journals — checkpoint-resumed prefixes, lazy or
+//!   eager capture, one worker or several — must equal the run
+//!   [`Campaign::replay`] produces for that point from scratch.
+//! * The counter-gated count, which advances the point counter by a
+//!   method's whole exception-type count in one step, must fire where
+//!   Listing 1's literal per-exception-type loop fires. [`LiteralLoop`]
+//!   is that loop, kept here as a test-only counting [`CallHook`].
 
 use atomask_inject::{Campaign, CampaignConfig, CaptureMode};
-use atomask_mor::{Budget, FnProgram, Profile, RegistryBuilder, Value};
+use atomask_mor::{
+    Budget, CallHook, CallSite, ExcId, Exception, FnProgram, HookGuard, MethodId, MethodResult,
+    Profile, Program, RegistryBuilder, Value, Vm,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A mutating call tree whose methods carry *different* declared-exception
 /// counts, so the fast-forward arithmetic advances the counter by a
@@ -132,4 +138,83 @@ fn striped_tree_is_a_meaningful_witness() {
         strides.len() >= 3,
         "methods must differ in injectable-exception count, got {strides:?}"
     );
+}
+
+/// Listing 1 lines 2-5 as written: every wrapped call walks its method's
+/// exception types one by one, counting a point per type, and throws the
+/// type at which the count reaches `target`. It never captures or marks.
+struct LiteralLoop {
+    point: u64,
+    target: u64,
+    fired: Option<(MethodId, ExcId)>,
+}
+
+impl CallHook for LiteralLoop {
+    fn before(&mut self, vm: &mut Vm, site: &CallSite) -> Result<HookGuard, Exception> {
+        let registry = vm.registry().clone();
+        if !registry.instrumentable(site.method) {
+            return Ok(None);
+        }
+        for &exc in registry.injectable_exceptions(site.method) {
+            self.point += 1;
+            if self.point == self.target {
+                self.fired = Some((site.method, exc));
+                return Err(Exception::injected(exc, site.method));
+            }
+        }
+        Ok(None)
+    }
+
+    fn after(
+        &mut self,
+        _vm: &mut Vm,
+        _site: &CallSite,
+        _guard: HookGuard,
+        outcome: MethodResult,
+    ) -> MethodResult {
+        outcome
+    }
+}
+
+/// Runs `p` from scratch under the literal loop aimed at `target` (`0`
+/// never fires) and returns the loop's final state.
+fn literal_loop(p: &FnProgram, target: u64) -> LiteralLoop {
+    let hook = Rc::new(RefCell::new(LiteralLoop {
+        point: 0,
+        target,
+        fired: None,
+    }));
+    let mut vm = Vm::new(p.build_registry());
+    vm.set_budget(Budget::fuel(20_000));
+    vm.set_hook(Some(hook.clone()));
+    let _ = p.run(&mut vm);
+    vm.set_hook(None);
+    Rc::try_unwrap(hook)
+        .ok()
+        .expect("the VM released the hook")
+        .into_inner()
+}
+
+/// The counter-gated count fires where the per-type loop fires, at every
+/// point of every shape, and both count the same total.
+#[test]
+fn counter_gate_fires_where_the_literal_loop_fires() {
+    for (depth, fanout) in SHAPES {
+        let p = striped_tree(depth, fanout);
+        let result = Campaign::new(&p)
+            .config(base_config(1, CaptureMode::Lazy))
+            .run();
+        let label = format!("{depth}x{fanout}");
+        assert_eq!(
+            literal_loop(&p, 0).point,
+            result.total_points,
+            "{label}: total"
+        );
+        for run in &result.runs {
+            let point = run.injection_point;
+            let oracle = literal_loop(&p, point);
+            assert!(oracle.fired.is_some(), "{label} point {point}: never fired");
+            assert_eq!(oracle.fired, run.injected, "{label} point {point}");
+        }
+    }
 }

@@ -1,15 +1,14 @@
 //! The driver's handle on a VM: the top-level operations a [`Program`]
-//! issues, and the one place where checkpoint-resume records and replays
-//! them (see [`crate::resume`]).
+//! issues, and the one place where a run records or resumes them (see
+//! [`crate::resume`]).
 //!
 //! [`Program`]: crate::Program
 
 use crate::exception::{Exception, MethodResult};
 use crate::ids::ObjId;
-use crate::resume::{OpKey, OpRecord, OpResult, REPLAY_MISMATCH};
+use crate::resume::{OpKey, OpRecord, OpResult, ResumeMismatch, VmCheckpoint};
 use crate::value::Value;
 use crate::vm::Vm;
-use std::rc::Rc;
 
 /// The handle through which a [`crate::Program`] drives the VM.
 ///
@@ -29,14 +28,57 @@ use std::rc::Rc;
 /// ```compile_fail
 /// fn look_up(d: &mut atomask_mor::Driver<'_>) { d.registry(); }
 /// ```
-#[derive(Debug)]
-pub struct Driver<'vm> {
-    vm: &'vm mut Vm,
+pub struct Driver<'a> {
+    vm: &'a mut Vm,
+    session: Session<'a>,
 }
 
-impl<'vm> Driver<'vm> {
-    pub(crate) fn new(vm: &'vm mut Vm) -> Self {
-        Driver { vm }
+/// What one run does with the ops its driver issues. Set when the run
+/// starts ([`crate::Program::run`], [`crate::Program::record`],
+/// [`crate::Program::resume_from`]) and gone with the [`Driver`] when the
+/// run ends, by return or by unwind.
+pub(crate) enum Session<'a> {
+    /// Every op executes; nothing is logged.
+    Live,
+    /// Every op executes and is logged; `at_boundary` then sees the VM
+    /// quiescent between two ops, with the count of ops logged so far.
+    Recording {
+        log: Vec<OpRecord>,
+        at_boundary: &'a mut dyn FnMut(&Vm, usize),
+    },
+    /// Ops `cursor..switch` of `ops` still replay; reaching `switch`
+    /// restores `checkpoint` and turns the session [`Session::Live`].
+    Resuming {
+        ops: &'a [OpRecord],
+        cursor: usize,
+        switch: usize,
+        checkpoint: &'a VmCheckpoint,
+    },
+}
+
+impl<'a> Driver<'a> {
+    pub(crate) fn new(vm: &'a mut Vm, session: Session<'a>) -> Self {
+        Driver { vm, session }
+    }
+
+    /// The op log of a recording session (empty for any other).
+    pub(crate) fn into_log(self) -> Vec<OpRecord> {
+        match self.session {
+            Session::Recording { log, .. } => log,
+            _ => Vec::new(),
+        }
+    }
+
+    /// `Err` if a resuming session is still short of its switch op: the
+    /// driver returned before the run went live.
+    pub(crate) fn went_live(&self) -> Result<(), ResumeMismatch> {
+        match self.session {
+            Session::Resuming { cursor, .. } => Err(ResumeMismatch {
+                op: cursor,
+                issued: None,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Constructs an instance of `class_name` (see [`Vm::construct`]).
@@ -112,15 +154,17 @@ impl<'vm> Driver<'vm> {
     /// before it, and a root taken after the last replayed op is what
     /// switches the run to live.
     pub fn root(&mut self, id: ObjId) {
-        if !self.replaying() {
+        if self.replay_cursor().is_none() {
             self.vm.root(id);
         }
     }
 
     /// One op: the recorded result while the prefix replays, otherwise
-    /// `live`, logged through `record` when a recording is on. `replayed`
-    /// reads a recorded result back; one of another kind is a mismatch,
-    /// like a different key.
+    /// `live`, logged through `record` when the session records.
+    /// `replayed` reads a recorded result back; one of another kind is a
+    /// mismatch, like a different key. A mismatch unwinds with a
+    /// [`ResumeMismatch`] payload, which [`crate::Program::resume_from`]
+    /// turns into its `Err`.
     fn op<T: Clone>(
         &mut self,
         key: impl Fn() -> OpKey,
@@ -128,62 +172,47 @@ impl<'vm> Driver<'vm> {
         record: impl FnOnce(T) -> OpResult,
         replayed: impl FnOnce(&OpResult) -> Option<T>,
     ) -> T {
-        if self.replaying() {
-            return self.next_recorded(key(), replayed);
+        if let Some((ops, cursor)) = self.replay_cursor() {
+            let rec = &ops[*cursor];
+            if let Some(out) = (*rec.key() == key())
+                .then(|| replayed(rec.result()))
+                .flatten()
+            {
+                *cursor += 1;
+                return out;
+            }
+            std::panic::panic_any(ResumeMismatch {
+                op: *cursor,
+                issued: Some(key()),
+            });
         }
         let out = live(self.vm);
-        if let Some(log) = &mut self.vm.op_log {
+        if let Session::Recording { log, at_boundary } = &mut self.session {
             log.push(OpRecord::new(key(), record(out.clone())));
-            // The boundary probe sees the VM quiescent between two ops.
-            let ops_done = log.len();
-            if let Some(mut probe) = self.vm.boundary_probe.take() {
-                probe(self.vm, ops_done);
-                // A probe installed mid-probe would be a re-entrancy bug;
-                // keep the original unless the probe replaced itself.
-                if self.vm.boundary_probe.is_none() {
-                    self.vm.boundary_probe = Some(probe);
-                }
-            }
+            at_boundary(self.vm, log.len());
         }
         out
     }
 
-    /// `true` while a replay is armed and short of its switch op. Reaching
-    /// the switch restores the paired checkpoint and disarms replay, so
-    /// everything from there on runs live.
-    fn replaying(&mut self) -> bool {
-        let Some(rs) = &self.vm.replay else {
-            return false;
-        };
-        if rs.cursor < rs.switch {
-            return true;
-        }
-        let ckpt = Rc::clone(&rs.checkpoint);
-        self.vm.replay = None;
-        self.vm.restore(&ckpt);
-        false
-    }
-
-    /// Validates `key` against the next recorded op and returns its
-    /// result. Panics with [`REPLAY_MISMATCH`] in the message, after
-    /// disarming replay, if the op does not match the recording.
-    fn next_recorded<T>(&mut self, key: OpKey, replayed: impl FnOnce(&OpResult) -> Option<T>) -> T {
-        let rs = self.vm.replay.as_mut().expect("replay is armed");
-        let rec = &rs.ops[rs.cursor];
-        if let Some(out) = (*rec.key() == key)
-            .then(|| replayed(rec.result()))
-            .flatten()
+    /// The recorded ops and the replay cursor while a resuming session is
+    /// short of its switch op. Reaching the switch restores the checkpoint
+    /// and turns the session live, so everything from there on executes.
+    fn replay_cursor(&mut self) -> Option<(&'a [OpRecord], &mut usize)> {
+        if let Session::Resuming {
+            cursor,
+            switch,
+            checkpoint,
+            ..
+        } = self.session
         {
-            rs.cursor += 1;
-            return out;
+            if cursor == switch {
+                self.session = Session::Live;
+                self.vm.restore(checkpoint);
+            }
         }
-        let msg = format!(
-            "{REPLAY_MISMATCH}: op {} was recorded as {:?} -> {:?} but the driver issued {key:?}",
-            rs.cursor,
-            rec.key(),
-            rec.result(),
-        );
-        self.vm.replay = None;
-        panic!("{msg}");
+        match &mut self.session {
+            Session::Resuming { ops, cursor, .. } => Some((*ops, cursor)),
+            _ => None,
+        }
     }
 }

@@ -39,8 +39,13 @@
 //! Application code (the evaluation workloads in `atomask-apps`) is written
 //! as Rust functions that perform **all** state access through [`Ctx`], so
 //! the runtime sees every field read/write and every call. A [`Program`]'s
-//! driver reaches the VM only through a [`Driver`], whose top-level ops are
-//! what checkpoint-resume records and replays.
+//! driver reaches the VM only through a [`Driver`], and the entry point
+//! that starts the run decides what the driver does with its top-level
+//! ops: [`Program::run`] executes them, [`Program::record`] executes and
+//! returns them as an op log, and [`Program::resume_from`] replays a
+//! logged prefix, restores a [`VmCheckpoint`] and executes the rest, or
+//! returns a [`ResumeMismatch`] (see [`resume`]). The [`Vm`] itself keeps
+//! no record of any of it.
 //!
 //! ## Example
 //!
@@ -98,7 +103,7 @@ pub use ids::{ClassId, ExcId, MethodId, ObjId};
 pub use profile::{Lang, Profile};
 pub use program::{FnProgram, Program};
 pub use registry::{Registry, RegistryBuilder};
-pub use resume::{BoundaryProbe, OpKey, OpRecord, OpResult, VmCheckpoint, REPLAY_MISMATCH};
+pub use resume::{OpKey, OpRecord, OpResult, ResumeMismatch, VmCheckpoint};
 pub use trace::{RingBufferSink, TraceEvent, TraceSink};
 pub use value::Value;
 pub use vm::{CallStats, Vm};

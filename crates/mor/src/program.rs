@@ -5,10 +5,12 @@
 //! potential injection point on a **fresh VM each run**, so programs must be
 //! deterministic given their construction parameters.
 
-use crate::driver::Driver;
+use crate::driver::{Driver, Session};
 use crate::exception::MethodResult;
 use crate::registry::Registry;
+use crate::resume::{OpRecord, ResumeMismatch, VmCheckpoint};
 use crate::vm::Vm;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// A deterministic guest program.
 ///
@@ -33,7 +35,71 @@ pub trait Program: Sync {
 
     /// Runs the driver on `vm`: the entry point of harnesses and tests.
     fn run(&self, vm: &mut Vm) -> MethodResult {
-        self.drive(&mut Driver::new(vm))
+        self.drive(&mut Driver::new(vm, Session::Live))
+    }
+
+    /// Runs the driver on `vm` and records the ops it issues (see
+    /// [`crate::resume`]). Recording changes nothing observable about the
+    /// run. `at_boundary` is called after every op with the VM quiescent
+    /// and the count of ops recorded so far — the place to capture
+    /// [`Vm::checkpoint`]s.
+    fn record(
+        &self,
+        vm: &mut Vm,
+        at_boundary: &mut dyn FnMut(&Vm, usize),
+    ) -> (MethodResult, Vec<OpRecord>) {
+        let mut d = Driver::new(
+            vm,
+            Session::Recording {
+                log: Vec::new(),
+                at_boundary,
+            },
+        );
+        let result = self.drive(&mut d);
+        (result, d.into_log())
+    }
+
+    /// Runs the driver on `vm` (freshly reset), replaying `ops[..switch]`
+    /// from a recording of this program, then restoring `checkpoint` —
+    /// captured at the boundary with `switch` ops recorded — and running
+    /// the rest live.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeMismatch`] if the driver issues an op the recording does
+    /// not hold there, or returns before reaching the switch. A panic of
+    /// the run itself propagates as a panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch` exceeds the length of `ops`.
+    fn resume_from(
+        &self,
+        vm: &mut Vm,
+        ops: &[OpRecord],
+        switch: usize,
+        checkpoint: &VmCheckpoint,
+    ) -> Result<MethodResult, ResumeMismatch> {
+        assert!(switch <= ops.len(), "resume switch beyond the op log");
+        let mut d = Driver::new(
+            vm,
+            Session::Resuming {
+                ops,
+                cursor: 0,
+                switch,
+                checkpoint,
+            },
+        );
+        // A mismatch unwinds out of the driver with a typed payload; the
+        // session unwinds with it, and every other panic goes on up.
+        let result = catch_unwind(AssertUnwindSafe(|| self.drive(&mut d))).map_err(|payload| {
+            match payload.downcast::<ResumeMismatch>() {
+                Ok(mismatch) => *mismatch,
+                Err(other) => resume_unwind(other),
+            }
+        })?;
+        d.went_live()?;
+        Ok(result)
     }
 }
 

@@ -3,24 +3,28 @@
 //!
 //! A detection sweep runs the same program once per injection point, and
 //! every run re-executes the entire prefix before its target just to arrive
-//! there. The types in this module remove that quadratic prefix cost:
+//! there. Three entry points on [`crate::Program`] remove that quadratic
+//! prefix cost, and each one sets the session of the run's
+//! [`crate::Driver`]:
 //!
-//! 1. **Recording.** One observing run executes normally while its
-//!    [`crate::Driver`] logs every operation the driver issues —
-//!    [`crate::Driver::construct`], [`crate::Driver::call`],
-//!    [`crate::Driver::call_absorbed`] and [`crate::Driver::field`] — as an
-//!    [`OpRecord`]: a validation [`OpKey`] and the operation's result. A
-//!    boundary probe runs after each completed op and may capture a
+//! 1. **[`crate::Program::run`]** executes every op live: the reference
+//!    run, and every run that does not resume.
+//! 2. **[`crate::Program::record`]** executes normally while the driver
+//!    logs every operation it issues — [`crate::Driver::construct`],
+//!    [`crate::Driver::call`], [`crate::Driver::call_absorbed`] and
+//!    [`crate::Driver::field`] — as an [`OpRecord`]: a validation
+//!    [`OpKey`] and the operation's result. After each op it calls the
+//!    caller's `at_boundary` with the VM quiescent, which may capture a
 //!    [`VmCheckpoint`]: an O(live-objects) structural copy of the heap
 //!    (cheap — `Rc`-shared values clone by refcount bump) plus call
 //!    statistics, the call sequence number, fuel spent, and the exception
-//!    chain-id watermark.
-//! 2. **Replay.** A resumed run re-executes the driver, but each op
-//!    short-circuits: the handle validates the op against the log and
-//!    returns the recorded result without touching the (empty) heap, so the
-//!    driver retraces its recorded control flow at host speed. At the
-//!    *switch* op the checkpoint is restored and execution goes live for
-//!    the tail.
+//!    chain-id watermark. The log is returned with the run's result.
+//! 3. **[`crate::Program::resume_from`]** re-executes the driver, but each
+//!    op before the *switch* op short-circuits: the handle validates the op
+//!    against the log and returns the recorded result without touching the
+//!    (empty) heap, so the driver retraces its recorded control flow at host
+//!    speed. At the switch op the checkpoint is restored and execution goes
+//!    live for the tail.
 //!
 //! Guest bodies never run during a replayed prefix, so no hook fires, no
 //! fuel is charged, and no heap mutation happens — all of that state is
@@ -28,30 +32,15 @@
 //! driver's only way into the VM, so what the driver sees during replay is
 //! exactly what it saw while recording, and a deterministic driver retraces
 //! the recorded ops. The op keys guard that determinism: a driver whose
-//! control flow diverges from the recording panics with a message
-//! containing [`REPLAY_MISMATCH`], and the campaign layer falls back to
-//! from-scratch execution for that point.
+//! control flow parts from the recording, or that returns before the
+//! switch, makes `resume_from` return a [`ResumeMismatch`], and the
+//! campaign layer runs that point from scratch instead.
 
 use crate::exception::Exception;
 use crate::heap::HeapCheckpoint;
 use crate::ids::ObjId;
 use crate::value::Value;
-use crate::vm::{CallStats, Vm};
-use std::rc::Rc;
-
-/// Marker substring of the panic message raised when a replayed driver op
-/// does not match the recording. Callers that drive replay (the
-/// campaign layer) catch the unwind, look for this sentinel, and fall back
-/// to from-scratch execution.
-pub const REPLAY_MISMATCH: &str = "checkpoint replay mismatch";
-
-/// A probe invoked after every completed top-level op while recording.
-///
-/// Receives the VM (quiescent: depth 0, no open frames or journal layers)
-/// and the number of ops recorded so far; a typical probe captures a
-/// [`VmCheckpoint`] whenever the sweep's point counter crosses a stride
-/// threshold.
-pub type BoundaryProbe = Box<dyn FnMut(&Vm, usize)>;
+use crate::vm::CallStats;
 
 /// Identity of a top-level driver operation, used to validate replay
 /// against the recording. Deliberately excludes argument *values* — the
@@ -150,23 +139,31 @@ impl VmCheckpoint {
     }
 }
 
-/// In-flight replay state: the shared op log, the cursor, the op index at
-/// which to switch to live execution, and the checkpoint to restore there.
-#[derive(Debug)]
-pub(crate) struct ReplayState {
-    pub(crate) ops: Rc<Vec<OpRecord>>,
-    pub(crate) cursor: usize,
-    pub(crate) switch: usize,
-    pub(crate) checkpoint: Rc<VmCheckpoint>,
+/// Why a resumed run parted from its recording before the switch op:
+/// the [`Err`] of [`crate::Program::resume_from`]. Only a driver that is
+/// not deterministic produces one; the run is then worth nothing, and the
+/// caller runs the program from scratch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResumeMismatch {
+    /// Index of the recorded op the driver failed to retrace.
+    pub op: usize,
+    /// What the driver issued instead: an op with another key, or with
+    /// the same key but a result of another kind (a call replayed against
+    /// an absorbed one), or `None` if the driver returned.
+    pub issued: Option<OpKey>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::Driver;
+    use crate::exception::MethodResult;
     use crate::profile::Profile;
+    use crate::program::{FnProgram, Program};
     use crate::registry::{Registry, RegistryBuilder};
-    use std::cell::RefCell;
+    use crate::vm::Vm;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::rc::Rc;
 
     fn registry() -> Registry {
         let mut rb = RegistryBuilder::new(Profile::java());
@@ -188,24 +185,32 @@ mod tests {
                 ctx.set(this, "count", Value::Int(v + 100));
                 Err(ctx.exception("RuntimeException", "boom"))
             });
+            c.method("explode", |_, _, _| panic!("guest body panicked"));
         });
         rb.build()
+    }
+
+    fn program(
+        drive: impl Fn(&mut Driver<'_>) -> MethodResult + Send + Sync + 'static,
+    ) -> FnProgram {
+        FnProgram::new("counter", registry, drive)
     }
 
     /// A driver whose control flow depends on call results, thrown
     /// exceptions, and a driver-level field read — everything a replayed
     /// prefix must reproduce.
-    fn drive(vm: &mut Vm) {
-        let d = &mut Driver::new(vm);
-        let c = d.construct("Counter", &[Value::Int(3)]).unwrap();
-        d.root(c);
-        d.call(c, "increment", &[]).unwrap();
-        d.call_absorbed(c, "fail", &[]);
-        if d.field(c, "count") == Some(Value::Int(104)) {
-            d.call(c, "increment", &[]).unwrap();
-        }
-        d.call_absorbed(c, "fail", &[]);
-        d.call(c, "increment", &[]).unwrap();
+    fn counter() -> FnProgram {
+        program(|d| {
+            let c = d.construct("Counter", &[Value::Int(3)])?;
+            d.root(c);
+            d.call(c, "increment", &[])?;
+            d.call_absorbed(c, "fail", &[]);
+            if d.field(c, "count") == Some(Value::Int(104)) {
+                d.call(c, "increment", &[])?;
+            }
+            d.call_absorbed(c, "fail", &[]);
+            d.call(c, "increment", &[])
+        })
     }
 
     type Probe = (Vec<Value>, Vec<usize>, Vec<u64>, u64, u64, u64);
@@ -227,134 +232,148 @@ mod tests {
         )
     }
 
+    /// Records `p` on a fresh VM, returning the VM, the op log and the
+    /// checkpoint captured after the last op.
+    fn recorded(p: &FnProgram) -> (Vm, Vec<OpRecord>, VmCheckpoint) {
+        let mut vm = Vm::from_shared_registry(Rc::new(p.build_registry()));
+        let (result, ops) = p.record(&mut vm, &mut |_, _| {});
+        result.unwrap();
+        let end = vm.checkpoint();
+        (vm, ops, end)
+    }
+
     #[test]
     fn resume_from_every_boundary_matches_from_scratch() {
-        let reg = Rc::new(registry());
-        let mut vm = Vm::from_shared_registry(reg);
+        let p = counter();
+        let mut vm = Vm::from_shared_registry(Rc::new(p.build_registry()));
 
         // Recording run, checkpointing at every op boundary.
-        type CkptLog = Rc<RefCell<Vec<(usize, Rc<VmCheckpoint>)>>>;
-        let ckpts: CkptLog = Rc::default();
-        vm.start_recording();
-        {
-            let ckpts = Rc::clone(&ckpts);
-            vm.set_boundary_probe(Some(Box::new(move |vm, n| {
-                ckpts.borrow_mut().push((n, Rc::new(vm.checkpoint())));
-            })));
-        }
-        drive(&mut vm);
-        let ops = Rc::new(vm.finish_recording().expect("recording was active"));
-        let recorded = state(&vm);
+        let mut ckpts: Vec<(usize, VmCheckpoint)> = Vec::new();
+        let (result, ops) = p.record(&mut vm, &mut |vm, n| ckpts.push((n, vm.checkpoint())));
+        let recorded = (result, state(&vm));
         assert!(!ops.is_empty());
-        assert_eq!(ckpts.borrow().len(), ops.len());
+        assert_eq!(ckpts.len(), ops.len());
 
         // From-scratch reference on the recycled VM.
         vm.reset_for_run();
-        drive(&mut vm);
-        let scratch = state(&vm);
+        let scratch = (p.run(&mut vm), state(&vm));
         assert_eq!(scratch, recorded, "recording must not perturb the run");
 
         // Resume from every boundary except the one after the final op (a
         // full-log checkpoint has no tail to go live in; schedulers never
         // select one).
-        for (switch, ckpt) in ckpts.borrow().iter() {
+        for (switch, ckpt) in &ckpts {
             if *switch == ops.len() {
                 continue;
             }
             vm.reset_for_run();
-            vm.begin_replay(Rc::clone(&ops), *switch, Rc::clone(ckpt));
-            drive(&mut vm);
-            assert!(!vm.replay_active(), "switch {switch} reached live tail");
-            assert_eq!(state(&vm), scratch, "resume at op {switch} diverged");
+            let result = p
+                .resume_from(&mut vm, &ops, *switch, ckpt)
+                .unwrap_or_else(|m| panic!("switch {switch} never went live: {m:?}"));
+            assert_eq!(
+                (result, state(&vm)),
+                scratch,
+                "resume at op {switch} diverged"
+            );
         }
     }
 
     #[test]
-    fn driver_finishing_mid_replay_is_detectable() {
-        let reg = Rc::new(registry());
-        let mut vm = Vm::from_shared_registry(reg);
-        vm.start_recording();
-        drive(&mut vm);
-        let ops = Rc::new(vm.finish_recording().unwrap());
-        let full = Rc::new(vm.checkpoint());
-
+    fn driver_finishing_before_the_switch_is_a_mismatch() {
+        let p = counter();
+        let (mut vm, ops, end) = recorded(&p);
         vm.reset_for_run();
-        vm.begin_replay(Rc::clone(&ops), ops.len(), full);
-        drive(&mut vm);
-        assert!(
-            vm.replay_active(),
+        assert_eq!(
+            p.resume_from(&mut vm, &ops, ops.len(), &end),
+            Err(ResumeMismatch {
+                op: ops.len(),
+                issued: None
+            }),
             "the whole run replayed without going live"
         );
-        vm.clear_replay();
-        assert!(!vm.replay_active());
     }
 
     #[test]
-    fn replay_mismatch_panics_with_the_sentinel() {
-        let reg = Rc::new(registry());
-        let mut vm = Vm::from_shared_registry(reg);
-        vm.start_recording();
-        drive(&mut vm);
-        let ops = Rc::new(vm.finish_recording().unwrap());
-        let ckpt = Rc::new(vm.checkpoint());
-
+    fn a_mismatched_key_is_a_resume_mismatch() {
+        let (mut vm, ops, end) = recorded(&counter());
         // The recording starts with a construct; issuing a different class
         // name must trip the key validator.
-        assert_replay_mismatch(&mut vm, &ops, ckpt, |d| {
-            let _ = d.construct("Nope", &[]);
+        let nope = program(|d| {
+            d.construct("Nope", &[])?;
+            Ok(Value::Null)
         });
-    }
-
-    /// Replays `ops` under `drive` and requires the determinism guard to
-    /// trip: a panic carrying [`REPLAY_MISMATCH`] that disarms replay.
-    fn assert_replay_mismatch(
-        vm: &mut Vm,
-        ops: &Rc<Vec<OpRecord>>,
-        ckpt: Rc<VmCheckpoint>,
-        drive: impl FnOnce(&mut Driver<'_>),
-    ) {
         vm.reset_for_run();
-        vm.begin_replay(Rc::clone(ops), ops.len(), ckpt);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(&mut Driver::new(vm));
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(REPLAY_MISMATCH), "got: {msg}");
-        assert!(!vm.replay_active(), "mismatch disarms replay");
+        assert_eq!(
+            nope.resume_from(&mut vm, &ops, ops.len(), &end),
+            Err(ResumeMismatch {
+                op: 0,
+                issued: Some(OpKey::Construct {
+                    class: "Nope".to_owned()
+                })
+            })
+        );
     }
 
     #[test]
     fn call_and_absorbed_call_do_not_replay_each_other() {
-        let reg = Rc::new(registry());
-        let mut vm = Vm::from_shared_registry(reg);
-        vm.start_recording();
-        drive(&mut vm);
-        let ops = Rc::new(vm.finish_recording().unwrap());
-        let ckpt = Rc::new(vm.checkpoint());
+        let (mut vm, ops, end) = recorded(&counter());
         // Op 2 is `fail`, recorded as absorbed: the same key issued as a
         // plain call must not get the dropped result back.
         assert!(matches!(ops[2].result(), OpResult::Dropped));
-        assert_replay_mismatch(&mut vm, &ops, Rc::clone(&ckpt), |d| {
-            let c = d.construct("Counter", &[Value::Int(3)]).unwrap();
-            d.call(c, "increment", &[]).unwrap();
-            let _ = d.call(c, "fail", &[]);
+        let called = program(|d| {
+            let c = d.construct("Counter", &[Value::Int(3)])?;
+            d.call(c, "increment", &[])?;
+            d.call(c, "fail", &[])
         });
+        vm.reset_for_run();
+        let mismatch = called.resume_from(&mut vm, &ops, ops.len(), &end);
+        assert_eq!(mismatch.map_err(|m| m.op), Err(2));
         // Op 1 is `increment`, recorded with its result: absorbing it
         // instead must trip the guard too.
         assert!(matches!(ops[1].result(), OpResult::Method(Ok(_))));
-        assert_replay_mismatch(&mut vm, &ops, ckpt, |d| {
-            let c = d.construct("Counter", &[Value::Int(3)]).unwrap();
+        let absorbed = program(|d| {
+            let c = d.construct("Counter", &[Value::Int(3)])?;
             d.call_absorbed(c, "increment", &[]);
+            Ok(Value::Null)
         });
+        vm.reset_for_run();
+        let mismatch = absorbed.resume_from(&mut vm, &ops, ops.len(), &end);
+        assert_eq!(mismatch.map_err(|m| m.op), Err(1));
+    }
+
+    #[test]
+    fn a_panic_in_the_live_tail_is_a_panic_not_a_mismatch() {
+        let p = counter();
+        let mut vm = Vm::from_shared_registry(Rc::new(p.build_registry()));
+        let mut after_two = None;
+        let (_, ops) = p.record(&mut vm, &mut |vm, n| {
+            if n == 2 {
+                after_two = Some(vm.checkpoint());
+            }
+        });
+        // Retraces the first two recorded ops, then goes live into a guest
+        // body that panics.
+        let exploding = program(|d| {
+            let c = d.construct("Counter", &[Value::Int(3)])?;
+            d.root(c);
+            d.call(c, "increment", &[])?;
+            d.call(c, "explode", &[])
+        });
+        vm.reset_for_run();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            exploding.resume_from(&mut vm, &ops, 2, after_two.as_ref().unwrap())
+        }))
+        .expect_err("the guest panic propagates");
+        assert!(payload.downcast_ref::<ResumeMismatch>().is_none());
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"guest body panicked"));
     }
 
     #[test]
     fn restore_accounts_fuel_against_the_current_budget() {
-        let reg = Rc::new(registry());
-        let mut vm = Vm::from_shared_registry(reg);
+        let p = counter();
+        let mut vm = Vm::from_shared_registry(Rc::new(p.build_registry()));
         vm.set_budget(crate::Budget::fuel(10_000));
-        drive(&mut vm);
+        p.run(&mut vm).unwrap();
         let ckpt = vm.checkpoint();
         let spent = vm.fuel_spent();
         assert!(spent > 0);

@@ -8,7 +8,7 @@ use crate::heap::Heap;
 use crate::hook::{CallHook, CallKind, CallSite, HookGuard};
 use crate::ids::{ExcId, MethodId, ObjId};
 use crate::registry::Registry;
-use crate::resume::{BoundaryProbe, OpRecord, ReplayState, VmCheckpoint};
+use crate::resume::VmCheckpoint;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::value::Value;
 use std::cell::RefCell;
@@ -72,13 +72,6 @@ pub struct Vm {
     depth: usize,
     fuel: FuelMeter,
     tracer: Option<Rc<RefCell<dyn TraceSink>>>,
-    /// Recording mode: the log of completed driver ops, if active.
-    pub(crate) op_log: Option<Vec<OpRecord>>,
-    /// Invoked after each recorded driver op (checkpoint capture).
-    pub(crate) boundary_probe: Option<BoundaryProbe>,
-    /// Replay mode: [`crate::Driver`] short-circuits ops from a recorded
-    /// log until the switch index, then restores the paired checkpoint.
-    pub(crate) replay: Option<ReplayState>,
     /// Preinterned id of the distinguished `BudgetExhausted` exception;
     /// cached so dispatch can exempt it from declaration-violation
     /// accounting without a name lookup per propagation step.
@@ -115,9 +108,6 @@ impl Vm {
             depth: 0,
             fuel: FuelMeter::new(Budget::unlimited()),
             tracer: None,
-            op_log: None,
-            boundary_probe: None,
-            replay: None,
             budget_exc,
         }
     }
@@ -179,9 +169,6 @@ impl Vm {
         self.stats.declaration_violations = 0;
         self.stats.exceptions_seen = 0;
         self.fuel = FuelMeter::new(Budget::unlimited());
-        self.op_log = None;
-        self.boundary_probe = None;
-        self.replay = None;
     }
 
     /// The budget currently in force.
@@ -349,28 +336,6 @@ impl Vm {
         self.depth
     }
 
-    /// Begins recording the ops the program's [`crate::Driver`] issues
-    /// (see [`crate::resume`]). Recording changes nothing observable about the
-    /// run: ops execute live and their keys/results are logged on the side.
-    pub fn start_recording(&mut self) {
-        self.op_log = Some(Vec::new());
-    }
-
-    /// Ends recording, returning the op log (also detaches the boundary
-    /// probe). `None` if no recording was in progress.
-    pub fn finish_recording(&mut self) -> Option<Vec<OpRecord>> {
-        self.boundary_probe = None;
-        self.op_log.take()
-    }
-
-    /// Installs (or removes) the boundary probe invoked after each
-    /// recorded driver op. The probe sees the VM quiescent (depth 0, no
-    /// open frames or journal layers) and the count of ops recorded so far
-    /// — the natural place to capture strided [`VmCheckpoint`]s.
-    pub fn set_boundary_probe(&mut self, probe: Option<BoundaryProbe>) {
-        self.boundary_probe = probe;
-    }
-
     /// Captures a structural checkpoint of everything a run can observe of
     /// this VM: heap, call statistics, call sequence, fuel spent, and the
     /// exception chain-id watermark.
@@ -380,7 +345,8 @@ impl Vm {
     /// Panics unless the VM is quiescent: depth 0, no live frames, and no
     /// open heap journal layer. (The interpreter's call stack is host
     /// stack, so checkpoints are only well-defined at top-level call
-    /// boundaries — which is exactly where the boundary probe runs.)
+    /// boundaries — which is exactly where [`crate::Program::record`]
+    /// calls its `at_boundary`.)
     pub fn checkpoint(&self) -> VmCheckpoint {
         assert_eq!(self.depth, 0, "checkpoint inside a guest call");
         assert!(self.frame_starts.is_empty(), "checkpoint with live frames");
@@ -419,43 +385,6 @@ impl Vm {
         self.call_seq = ckpt.call_seq;
         self.fuel.preload_spent(ckpt.fuel_spent);
         crate::exception::set_chain_watermark(ckpt.chain_next);
-    }
-
-    /// Arms replay: driver ops `0..switch` short-circuit to their
-    /// recorded results, then `checkpoint` is restored and execution goes
-    /// live. Must be installed before the driver starts (on a freshly
-    /// reset VM) and is mutually exclusive with recording.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `switch` exceeds the log length or a recording is active.
-    pub fn begin_replay(
-        &mut self,
-        ops: Rc<Vec<OpRecord>>,
-        switch: usize,
-        checkpoint: Rc<VmCheckpoint>,
-    ) {
-        assert!(switch <= ops.len(), "replay switch beyond the op log");
-        assert!(self.op_log.is_none(), "replay while recording");
-        self.replay = Some(ReplayState {
-            ops,
-            cursor: 0,
-            switch,
-            checkpoint,
-        });
-    }
-
-    /// `true` while a replay is armed and has not yet reached its switch
-    /// point. A driver that *finishes* with replay still active means the
-    /// recorded log did not match this execution — callers must discard
-    /// the run and fall back to from-scratch execution.
-    pub fn replay_active(&self) -> bool {
-        self.replay.is_some()
-    }
-
-    /// Disarms any in-flight replay (fallback path cleanup).
-    pub fn clear_replay(&mut self) {
-        self.replay = None;
     }
 
     /// Roots `id` in the innermost live frame; no-op at driver level, where
