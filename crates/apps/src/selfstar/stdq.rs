@@ -108,7 +108,7 @@ fn register(rb: &mut RegistryBuilder) {
                     Ok(_) => accepted += 1,
                     // catch (QueueFullError): drop the item and go on; any
                     // other exception type keeps propagating.
-                    Err(e) if e.ty == ctx.vm().exc_id(QUEUE_FULL) => rejected += 1,
+                    Err(e) if ctx.is(&e, QUEUE_FULL) => rejected += 1,
                     Err(e) => return Err(e),
                 }
             }
@@ -143,7 +143,7 @@ fn register(rb: &mut RegistryBuilder) {
                         sum += v.as_int().unwrap_or(0);
                     }
                     // catch (QueueEmptyError): the queue is drained.
-                    Err(e) if e.ty == ctx.vm().exc_id(QUEUE_EMPTY) => break,
+                    Err(e) if ctx.is(&e, QUEUE_EMPTY) => break,
                     Err(e) => return Err(e),
                 }
             }

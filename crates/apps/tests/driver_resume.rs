@@ -9,7 +9,7 @@
 //! run that never replayed.
 
 use atomask_apps::all_apps;
-use atomask_mor::{ExceptionTable, MethodResult, Program, Vm, VmCheckpoint};
+use atomask_mor::{ExceptionTable, MethodId, MethodResult, Program, Vm, VmCheckpoint};
 use atomask_objgraph::fingerprint_of_roots;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -31,7 +31,10 @@ struct Outcome {
     next_chain: u64,
 }
 
-fn outcome(vm: &Vm, result: MethodResult) -> Outcome {
+fn outcome(vm: &mut Vm, result: MethodResult) -> Outcome {
+    // A fresh exception takes the next chain id: the counter's watermark.
+    let probe = vm.exc_id(ExceptionTable::BUDGET_EXHAUSTED);
+    let next_chain = vm.injected_exception(probe, MethodId::from_raw(0)).chain;
     let heap = vm.heap();
     let roots: Vec<_> = heap
         .iter()
@@ -39,8 +42,6 @@ fn outcome(vm: &Vm, result: MethodResult) -> Outcome {
         .filter(|&id| heap.root_count(id) > 0)
         .collect();
     let stats = vm.stats();
-    // A fresh exception takes the next chain id: the counter's watermark.
-    let probe = vm.exc_id(ExceptionTable::BUDGET_EXHAUSTED);
     Outcome {
         result,
         root_fingerprint: fingerprint_of_roots(heap, &roots),
@@ -48,7 +49,7 @@ fn outcome(vm: &Vm, result: MethodResult) -> Outcome {
         exceptions_seen: stats.exceptions_seen,
         declaration_violations: stats.declaration_violations,
         fuel_spent: vm.fuel_spent(),
-        next_chain: atomask_mor::Exception::new(probe, "watermark").chain,
+        next_chain,
     }
 }
 
@@ -58,7 +59,7 @@ fn every_suite_driver_resumes_from_every_boundary() {
         let program = app.program();
         let mut vm = Vm::from_shared_registry(Rc::new(program.build_registry()));
         let result = program.run(&mut vm);
-        let scratch = outcome(&vm, result);
+        let scratch = outcome(&mut vm, result);
 
         vm.reset_for_run();
         // The checkpoints the recording run captured, keyed by the ops done.
@@ -68,7 +69,7 @@ fn every_suite_driver_resumes_from_every_boundary() {
                 boundaries.push((ops, vm.checkpoint()));
             }
         });
-        assert_eq!(outcome(&vm, result), scratch, "{}: recording", app.name);
+        assert_eq!(outcome(&mut vm, result), scratch, "{}: recording", app.name);
 
         // A boundary after the last op has no live tail to switch into.
         boundaries.retain(|(switch, _)| *switch < ops.len());
@@ -89,7 +90,7 @@ fn every_suite_driver_resumes_from_every_boundary() {
                 panic!("{}: resume at op {switch} never went live: {m:?}", app.name)
             });
             assert_eq!(
-                outcome(&vm, result),
+                outcome(&mut vm, result),
                 scratch,
                 "{}: resume at op {switch} diverged",
                 app.name

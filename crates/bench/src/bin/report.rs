@@ -6,8 +6,9 @@
 //! report gate
 //! ```
 //!
-//! Without a subcommand it runs `all`; an unknown subcommand prints this
-//! usage to stderr and exits with status 2.
+//! Without a subcommand it runs `all`. An unknown subcommand, a second
+//! subcommand, or any option other than `--quick` on the table and figure
+//! subcommands prints this usage to stderr and exits with status 2.
 //!
 //! `--quick` caps every campaign at 300 injection points and shrinks the
 //! Fig. 5 grid; without it the full sweeps run (as in the paper).
@@ -159,6 +160,11 @@ fn main() {
         }
         gate();
         return;
+    }
+    let subcommands = args.iter().filter(|a| !a.starts_with("--")).count();
+    if subcommands > 1 || args.iter().any(|a| a.starts_with("--") && a != "--quick") {
+        eprintln!("bad arguments `{}`\n{USAGE}", args.join(" "));
+        std::process::exit(2);
     }
 
     let needs_eval = matches!(what, "table1" | "fig2" | "fig3" | "fig4" | "all");

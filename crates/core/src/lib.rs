@@ -62,7 +62,7 @@ pub use atomask_mask::{
 pub use atomask_mor::{
     AsOfHeap, Budget, CallHook, CallKind, CallSite, ClassBuilder, ClassId, Ctx, Driver, ExcId,
     Exception, FnProgram, Heap, Lang, MethodId, MethodResult, MorError, ObjId, Profile, Program,
-    Registry, RegistryBuilder, RingBufferSink, TraceEvent, TraceSink, Value, Vm,
+    Registry, RegistryBuilder, RingBufferSink, TraceEvent, Value, Vm,
 };
 pub use atomask_objgraph::{
     fingerprint_of_roots, graph_fingerprint, graph_size, Checkpoint, FingerprintCache, GraphSize,

@@ -4,14 +4,12 @@
 //! The paper reports the *relative* slowdown of the corrected program over
 //! the original, for a base method costing ≈0.5 µs, sweeping checkpoint
 //! size and wrapped-call percentage, with each point the median of 40
-//! runs. [`measure`] reproduces one point of that surface; the `report`
-//! binary and the Criterion bench sweep the full grid.
+//! runs. [`measure`] reproduces one point of that surface; `report fig5`
+//! sweeps the full grid.
 
 use crate::synthetic::perf_vm;
-use atomask_mask::{MaskStrategy, MaskingHook, UndoMaskingHook};
-use atomask_mor::{CallHook, MethodId, Registry, Vm};
-use std::cell::RefCell;
-use std::rc::Rc;
+use atomask_mask::{MaskStrategy, WrapSet};
+use atomask_mor::{MethodId, Registry, Vm};
 use std::time::Instant;
 
 /// One measured point of the Fig. 5 surface.
@@ -71,7 +69,8 @@ pub fn measure(object_bytes: usize, wrapped_pct: u32, calls: u32, runs: u32) -> 
 }
 
 /// [`measure`] with an explicit wrapper [`MaskStrategy`] — the ablation of
-/// the paper's §6.2 copy-on-write suggestion (see the `ablation` bench).
+/// the paper's §6.2 copy-on-write suggestion (`report fig5` prints it for
+/// [`MaskStrategy::UndoLog`]).
 pub fn measure_with(
     strategy: MaskStrategy,
     object_bytes: usize,
@@ -91,11 +90,8 @@ pub fn measure_with(
         // Masked: atomicity wrapper on `workWrapped`.
         let (mut vm, holder) = perf_vm(object_bytes);
         let gid = work_wrapped_gid(vm.registry());
-        let hook: Rc<RefCell<dyn CallHook>> = match strategy {
-            MaskStrategy::DeepCopy => Rc::new(RefCell::new(MaskingHook::wrapping([gid]))),
-            MaskStrategy::UndoLog => Rc::new(RefCell::new(UndoMaskingHook::wrapping([gid]))),
-        };
-        vm.set_hook(Some(hook));
+        let wrapped: WrapSet = [gid].into_iter().collect();
+        vm.set_hook(Some(strategy.hook(wrapped)));
         let t0 = Instant::now();
         run_calls(&mut vm, holder, calls, wrapped_pct);
         masked.push(t0.elapsed().as_nanos() as f64 / calls as f64);
@@ -116,6 +112,9 @@ pub const WRAPPED_PCTS: [u32; 5] = [0, 1, 10, 50, 100];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atomask_mask::{MaskingHook, UndoMaskingHook};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// What both wrappers around a 1 KiB [`perf_vm`] holder take over 400
     /// calls with `wrapped_pct` percent going to the wrapped method:

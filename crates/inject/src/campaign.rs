@@ -42,8 +42,7 @@ use crate::journal::CampaignJournal;
 use crate::marks::Mark;
 use crate::replay::{Divergence, ReplayReport};
 use atomask_mor::{
-    Budget, CallHook, ExcId, MethodId, OpRecord, Program, Registry, RingBufferSink, TraceSink, Vm,
-    VmCheckpoint,
+    Budget, CallHook, ExcId, MethodId, OpRecord, Program, Registry, Vm, VmCheckpoint,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -63,11 +62,14 @@ type InnerHookFactory = Box<dyn Fn(&Registry) -> Rc<RefCell<dyn CallHook>> + Sen
 /// [`CampaignConfig::trace`]; both go when that line does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceMode {
-    /// No sink installed: every emission site compiles to a branch on
-    /// `None`.
+    /// No flight recorder running: every emission site compiles to a
+    /// branch on `None`.
     #[default]
     Off,
 }
+
+/// Events the flight recorder of [`Campaign::replay`] keeps.
+const REPLAY_RING_CAPACITY: usize = 1 << 20;
 
 /// Stride (in injection points) between the VM checkpoints a sweep records
 /// for checkpoint-resume execution (see `DESIGN.md` §10).
@@ -808,7 +810,7 @@ impl<'p> Campaign<'p> {
         loop {
             let hook =
                 InjectionHook::with_injection_point(injection_point).capture(self.config.capture);
-            let Some((mut run, _)) = self.attempt(vm, injection_point, budget, start, hook, None)
+            let Some((mut run, _)) = self.attempt(vm, injection_point, budget, start, hook, false)
             else {
                 start = Start::Scratch;
                 continue;
@@ -873,8 +875,9 @@ impl<'p> Campaign<'p> {
 
     /// One isolated attempt at one injection point under `hook`: the one
     /// place a run executes and a [`RunResult`] is built, behind both the
-    /// sweep and [`Campaign::replay`]. Only replay attaches a flight
-    /// recorder `tracer`; sweeps pass `None`. Returns `None` only when a
+    /// sweep and [`Campaign::replay`]. Only replay sets `traced`, which
+    /// leaves the run's flight recorder on the VM for
+    /// [`Vm::take_trace`]; sweeps never trace. Returns `None` only when a
     /// resumed start comes back as a [`atomask_mor::ResumeMismatch`] (the
     /// determinism guard tripped); the caller then runs the point from
     /// scratch.
@@ -885,7 +888,7 @@ impl<'p> Campaign<'p> {
         budget: Budget,
         start: Start<'_>,
         hook: InjectionHook,
-        tracer: Option<Rc<RefCell<dyn TraceSink>>>,
+        traced: bool,
     ) -> Option<(RunResult, Option<Divergence>)> {
         // Recycled VM universe: reset to the pristine epoch (heap, frames,
         // stats, chains, budget) instead of rebuilding the whole VM. The
@@ -893,7 +896,9 @@ impl<'p> Campaign<'p> {
         // guest state the unwind left behind is discarded here.
         vm.reset_for_run();
         vm.set_budget(budget);
-        vm.set_tracer(tracer);
+        if traced {
+            vm.start_trace(REPLAY_RING_CAPACITY);
+        }
         let hook = match start {
             Start::Scratch => hook,
             Start::Resume(_, ckpt) => {
@@ -913,9 +918,8 @@ impl<'p> Campaign<'p> {
                 .ok(),
         }));
         // Release the VM's clones of both hooks so the results can be moved
-        // out, and its tracer clone so callers can unwrap the ring buffer.
+        // out.
         vm.set_hook(None);
-        vm.set_tracer(None);
         let outcome = outcome.transpose()?;
         let diverged = vm.fuel_exhausted();
         let fuel_spent = vm.fuel_spent();
@@ -977,10 +981,8 @@ impl<'p> Campaign<'p> {
     /// The replay ring is large (`2^20` events); if a run emits more,
     /// [`ReplayReport::trace_dropped`] says how many early events fell off.
     pub fn replay(&self, injection_point: u64) -> ReplayReport {
-        const REPLAY_RING_CAPACITY: usize = 1 << 20;
         let registry = Rc::new(self.program.build_registry());
         let mut vm = Vm::from_shared_registry(registry.clone());
-        let tracer = Rc::new(RefCell::new(RingBufferSink::new(REPLAY_RING_CAPACITY)));
         let reference =
             |capture| InjectionHook::with_injection_point(injection_point).capture(capture);
         let budget = self.config.budget;
@@ -996,9 +998,12 @@ impl<'p> Campaign<'p> {
                 budget,
                 Start::Scratch,
                 first,
-                Some(tracer.clone()),
+                true,
             )
             .expect("a from-scratch attempt always finishes");
+        let sink = vm
+            .take_trace()
+            .expect("a traced attempt keeps its recorder");
         let divergence = if run.marks.iter().any(|m| !m.atomic) {
             let second = reference(CaptureMode::Lazy).minimize_divergence(true);
             self.attempt(
@@ -1007,15 +1012,11 @@ impl<'p> Campaign<'p> {
                 budget,
                 Start::Scratch,
                 second,
-                None,
+                false,
             )
             .and_then(|(_, divergence)| divergence)
         } else {
             None
-        };
-        let sink = match Rc::try_unwrap(tracer) {
-            Ok(cell) => cell.into_inner(),
-            Err(shared) => shared.borrow().clone(),
         };
         let trace_emitted = sink.emitted();
         let trace_dropped = sink.dropped();
@@ -1389,6 +1390,28 @@ mod tests {
         assert_eq!(a.run, b.run);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.divergence, b.divergence);
+    }
+
+    #[test]
+    fn an_untraced_attempt_after_a_traced_one_records_nothing() {
+        let p = two_level_program();
+        let campaign = Campaign::new(&p);
+        let mut vm = Vm::from_shared_registry(Rc::new(p.build_registry()));
+        let attempt = |vm: &mut Vm, traced| {
+            let hook = InjectionHook::with_injection_point(3);
+            campaign
+                .attempt(vm, 3, Budget::unlimited(), Start::Scratch, hook, traced)
+                .expect("a from-scratch attempt always finishes")
+        };
+        let (traced_run, _) = attempt(&mut vm, true);
+        let (untraced_run, _) = attempt(&mut vm, false);
+        assert_eq!(traced_run, untraced_run);
+        assert!(
+            vm.take_trace().is_none(),
+            "the recycled VM dropped the recorder"
+        );
+        attempt(&mut vm, true);
+        assert!(vm.take_trace().is_some_and(|sink| sink.emitted() > 0));
     }
 
     #[test]

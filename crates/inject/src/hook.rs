@@ -293,7 +293,7 @@ impl CallHook for InjectionHook {
                     exc,
                     point: self.point,
                 });
-                return Err(Exception::injected(exc, site.method));
+                return Err(vm.injected_exception(exc, site.method));
             }
             _ => self.point += n,
         }

@@ -159,7 +159,7 @@ impl CallHook for LiteralLoop {
             self.point += 1;
             if self.point == self.target {
                 self.fired = Some((site.method, exc));
-                return Err(Exception::injected(exc, site.method));
+                return Err(vm.injected_exception(exc, site.method));
             }
         }
         Ok(None)

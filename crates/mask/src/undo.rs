@@ -6,8 +6,8 @@
 //! undo-log wrapper instead opens a heap write-journal around the call and
 //! pays O(#writes actually performed): nothing up front, a reverse replay
 //! on failure. For large objects with small mutation footprints this is
-//! dramatically cheaper (see the `ablation` bench), at the price of
-//! intercepting every field write.
+//! dramatically cheaper (the undo-log ablation of `report fig5`), at the
+//! price of intercepting every field write.
 //!
 //! Semantics: rollback restores *every* heap write made below the wrapped
 //! call, which is a superset of Listing 2's receiver-graph restoration —

@@ -11,11 +11,20 @@
 //! error conditions are [`crate::Exception`]s returned as `Err`.
 
 use crate::exception::{Exception, ExceptionTable, MethodResult};
-use crate::ids::ObjId;
+use crate::ids::{ExcId, ObjId};
+use crate::trace::TraceEvent;
 use crate::value::Value;
 use crate::vm::Vm;
 
 /// Handle through which method bodies read and mutate guest state.
+///
+/// Every operation charges fuel and roots what the body can name in the
+/// current frame. The handle offers no way around that to the VM beneath
+/// it, so a body cannot skip either:
+///
+/// ```compile_fail
+/// fn escape(ctx: &mut atomask_mor::Ctx<'_>) { ctx.vm(); }
+/// ```
 #[derive(Debug)]
 pub struct Ctx<'vm> {
     vm: &'vm mut Vm,
@@ -24,12 +33,6 @@ pub struct Ctx<'vm> {
 impl<'vm> Ctx<'vm> {
     pub(crate) fn new(vm: &'vm mut Vm) -> Self {
         Ctx { vm }
-    }
-
-    /// Escape hatch to the underlying VM (drivers and tests; application
-    /// bodies should not need it).
-    pub fn vm(&mut self) -> &mut Vm {
-        self.vm
     }
 
     /// Reads a field.
@@ -168,23 +171,33 @@ impl<'vm> Ctx<'vm> {
     /// Panics if the exception type was never registered.
     pub fn exception(&mut self, ty: &str, message: impl Into<String>) -> Exception {
         let id = self.vm.exc_id(ty);
-        let e = Exception::new(id, message);
-        self.vm.trace(crate::TraceEvent::ExcThrow {
+        self.throw(id, message.into())
+    }
+
+    /// Builds the guest `NullPointerException`.
+    pub fn npe(&mut self, what: &str) -> Exception {
+        let id = self.vm.exc_id(ExceptionTable::NULL_POINTER);
+        self.throw(id, format!("null receiver in `{what}`"))
+    }
+
+    fn throw(&mut self, ty: ExcId, message: String) -> Exception {
+        let e = self.vm.exception(ty, message, None);
+        self.vm.trace(TraceEvent::ExcThrow {
             exc: e.ty,
             chain: e.chain,
         });
         e
     }
 
-    /// Builds the guest `NullPointerException`.
-    pub fn npe(&mut self, what: &str) -> Exception {
-        let id = self.vm.exc_id(ExceptionTable::NULL_POINTER);
-        let e = Exception::new(id, format!("null receiver in `{what}`"));
-        self.vm.trace(crate::TraceEvent::ExcThrow {
-            exc: e.ty,
-            chain: e.chain,
-        });
-        e
+    /// `true` iff `e` is of the registered type `ty` — the one way a body
+    /// tests a caught exception's type, as a handler does:
+    /// `Err(e) if ctx.is(&e, "QueueFullError") => ...`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the exception type was never registered.
+    pub fn is(&self, e: &Exception, ty: &str) -> bool {
+        e.ty == self.vm.exc_id(ty)
     }
 }
 
@@ -193,6 +206,13 @@ mod tests {
     use super::*;
     use crate::profile::Profile;
     use crate::registry::RegistryBuilder;
+
+    impl Ctx<'_> {
+        /// The underlying VM, for this crate's own frame-rooting tests.
+        pub(crate) fn vm(&mut self) -> &mut Vm {
+            self.vm
+        }
+    }
 
     fn vm() -> Vm {
         let mut rb = RegistryBuilder::new(Profile::java());

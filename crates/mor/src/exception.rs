@@ -6,6 +6,14 @@
 //! `Result` returned from [`crate::Ctx::call`] and "rethrows" by returning
 //! the `Err` — exactly the propagation structure the paper's wrappers
 //! (Listings 1 and 2) interpose on.
+//!
+//! Only the [`crate::Vm`] creates exceptions: guest bodies through
+//! [`crate::Ctx::exception`] and [`crate::Ctx::npe`], injection wrappers
+//! through [`crate::Vm::injected_exception`], and the fuel check when a
+//! [`crate::Budget`] runs out. Each creation takes the next propagation
+//! chain id from the VM's own counter, which the VM restarts with every
+//! run and carries through its checkpoints; a guest body tests a caught
+//! exception's type with [`crate::Ctx::is`].
 
 use crate::ids::{ExcId, MethodId};
 use crate::value::Value;
@@ -33,68 +41,11 @@ pub struct Exception {
     /// id; rethrowing (cloning/returning the same value) preserves it. The
     /// classifier uses this to find the first method marked non-atomic
     /// *per propagation chain* (Def. 3's pure/conditional rule), even when
-    /// a single program run sees several independent exceptions. Ids are
-    /// unique within one VM's lifetime (the counter restarts per VM, so
-    /// identical runs produce identical records).
+    /// a single program run sees several independent exceptions. The
+    /// [`crate::Vm`] that creates the exception hands the id out from its
+    /// own counter, which restarts at 1 with every run, so identical runs
+    /// produce identical records whatever other VMs exist.
     pub chain: u64,
-}
-
-thread_local! {
-    static NEXT_CHAIN: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
-}
-
-fn fresh_chain() -> u64 {
-    NEXT_CHAIN.with(|c| {
-        let id = c.get();
-        c.set(id + 1);
-        id
-    })
-}
-
-/// Restarts the chain counter at 1. Called whenever a fresh [`crate::Vm`]
-/// is created: chain ids only need to be unique within one VM's lifetime
-/// (the classifier groups marks per run), and resetting makes every run's
-/// records — and therefore campaign journals — deterministic instead of
-/// dependent on how many exceptions the process created before.
-pub(crate) fn reset_chains() {
-    NEXT_CHAIN.with(|c| c.set(1));
-}
-
-/// The chain-counter watermark: the id the *next* created exception will
-/// receive. Captured into VM checkpoints so a restored run hands out the
-/// same chain ids a from-scratch run would.
-pub(crate) fn chain_watermark() -> u64 {
-    NEXT_CHAIN.with(|c| c.get())
-}
-
-/// Rewinds (or advances) the chain counter to a captured watermark;
-/// checkpoint restore only.
-pub(crate) fn set_chain_watermark(next: u64) {
-    NEXT_CHAIN.with(|c| c.set(next));
-}
-
-impl Exception {
-    /// Creates an application-thrown exception.
-    pub fn new(ty: ExcId, message: impl Into<String>) -> Self {
-        Exception {
-            ty,
-            message: message.into(),
-            injected: false,
-            injected_into: None,
-            chain: fresh_chain(),
-        }
-    }
-
-    /// Creates an injector-synthesized exception attributed to `target`.
-    pub fn injected(ty: ExcId, target: MethodId) -> Self {
-        Exception {
-            ty,
-            message: "injected".to_owned(),
-            injected: true,
-            injected_into: Some(target),
-            chain: fresh_chain(),
-        }
-    }
 }
 
 impl fmt::Display for Exception {
@@ -205,23 +156,19 @@ mod tests {
     }
 
     #[test]
-    fn exception_constructors() {
-        let mut t = ExceptionTable::new();
-        let io = t.intern("IOError");
-        let e = Exception::new(io, "disk on fire");
-        assert!(!e.injected);
-        assert_eq!(e.message, "disk on fire");
-        let m = MethodId::from_raw(3);
-        let inj = Exception::injected(io, m);
-        assert!(inj.injected);
-        assert_eq!(inj.injected_into, Some(m));
-    }
-
-    #[test]
     fn display_marks_injected() {
         let mut t = ExceptionTable::new();
         let io = t.intern("IOError");
-        let e = Exception::injected(io, MethodId::from_raw(0));
+        let mut e = Exception {
+            ty: io,
+            message: "disk on fire".to_owned(),
+            injected: false,
+            injected_into: None,
+            chain: 1,
+        };
+        assert!(!e.to_string().contains("injected"));
+        e.injected = true;
+        e.injected_into = Some(MethodId::from_raw(0));
         assert!(e.to_string().contains("injected"));
     }
 

@@ -23,9 +23,8 @@ use crate::error::MorError;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ids::{ClassId, ObjId};
 use crate::registry::Registry;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{RingBufferSink, TraceEvent};
 use crate::value::Value;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -165,7 +164,9 @@ pub struct Heap {
     /// Bumped by every operation that can change the object graph; see
     /// [`Heap::mutation_epoch`].
     mutations: u64,
-    tracer: Option<Rc<RefCell<dyn TraceSink>>>,
+    /// The run's flight recorder, when it records one; the VM starts,
+    /// takes and drops it (see [`crate::Vm::start_trace`]).
+    pub(crate) recorder: Option<RingBufferSink>,
 }
 
 /// Storage index of an id: ids are dense from 1, so slot = raw − 1.
@@ -190,7 +191,7 @@ impl Heap {
             reclaim_mark: 0,
             pending_garbage: FxHashSet::default(),
             mutations: 0,
-            tracer: None,
+            recorder: None,
         }
     }
 
@@ -268,18 +269,13 @@ impl Heap {
         self.mutations += 1;
     }
 
-    /// Installs (or removes) the trace sink heap events are recorded on.
-    /// Normally called through [`crate::Vm::set_tracer`], which shares one
-    /// sink between the VM and its heap.
-    pub fn set_tracer(&mut self, tracer: Option<Rc<RefCell<dyn TraceSink>>>) {
-        self.tracer = tracer;
-    }
-
-    /// Emission helper: the closure only runs when a sink is installed.
+    /// Records `make()` on the flight recorder; with none running the
+    /// event is never built. The VM's own events go through here too, so
+    /// heap and VM events interleave in one stream.
     #[inline]
-    fn emit(&self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().record(make());
+    pub(crate) fn trace(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record(make());
         }
     }
 
@@ -310,7 +306,7 @@ impl Heap {
         self.live += 1;
         self.stats.allocated += 1;
         self.mutations += 1;
-        self.emit(|| TraceEvent::HeapAlloc {
+        self.trace(|| TraceEvent::HeapAlloc {
             obj: id,
             class: class.id,
         });
@@ -394,7 +390,7 @@ impl Heap {
         if let Some(target) = old_ref {
             self.dec_ref(target);
         }
-        self.emit(|| TraceEvent::HeapWrite {
+        self.trace(|| TraceEvent::HeapWrite {
             obj: id,
             class: class_id,
             slot,
@@ -720,9 +716,8 @@ impl Heap {
         self.journal
             .layers
             .push((self.journal.writes.len(), self.objects.len()));
-        self.emit(|| TraceEvent::JournalPush {
-            depth: self.journal.layers.len(),
-        });
+        let depth = self.journal.layers.len();
+        self.trace(|| TraceEvent::JournalPush { depth });
     }
 
     /// Number of open journal layers.
@@ -753,9 +748,8 @@ impl Heap {
     ///
     /// Panics if no layer is open.
     pub fn commit_journal(&mut self) {
-        self.emit(|| TraceEvent::JournalCommit {
-            depth: self.journal.layers.len(),
-        });
+        let depth = self.journal.layers.len();
+        self.trace(|| TraceEvent::JournalCommit { depth });
         self.journal
             .layers
             .pop()
@@ -783,10 +777,8 @@ impl Heap {
             .pop()
             .expect("abort_journal: no open journal");
         let undone = self.journal.writes.len() - writes_mark;
-        self.emit(|| TraceEvent::JournalAbort {
-            depth: self.journal.layers.len() + 1,
-            undone,
-        });
+        let depth = self.journal.layers.len() + 1;
+        self.trace(|| TraceEvent::JournalAbort { depth, undone });
         let rollback: Vec<(ObjId, usize, Value)> =
             self.journal.writes.drain(writes_mark..).collect();
         if undone > 0 {
@@ -806,7 +798,7 @@ impl Heap {
             if let Some(target) = current.as_ref_id() {
                 self.dec_ref(target);
             }
-            self.emit(|| TraceEvent::UndoWrite {
+            self.trace(|| TraceEvent::UndoWrite {
                 obj: id,
                 class,
                 slot,

@@ -143,7 +143,7 @@ mod tests {
             if self.armed {
                 self.armed = false;
                 let ty = vm.registry().runtime_exceptions()[0];
-                return Err(Exception::injected(ty, site.method));
+                return Err(vm.injected_exception(ty, site.method));
             }
             Ok(None)
         }

@@ -104,6 +104,6 @@ pub use profile::{Lang, Profile};
 pub use program::{FnProgram, Program};
 pub use registry::{Registry, RegistryBuilder};
 pub use resume::{OpKey, OpRecord, OpResult, ResumeMismatch, VmCheckpoint};
-pub use trace::{RingBufferSink, TraceEvent, TraceSink};
+pub use trace::{RingBufferSink, TraceEvent};
 pub use value::Value;
 pub use vm::{CallStats, Vm};

@@ -228,7 +228,7 @@ mod tests {
             vm.stats().calls.clone(),
             vm.stats().exceptions_seen,
             vm.fuel_spent(),
-            crate::exception::chain_watermark(),
+            vm.checkpoint().chain_next,
         )
     }
 

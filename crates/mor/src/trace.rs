@@ -2,14 +2,15 @@
 //! replay.
 //!
 //! The VM, heap and the wrappers woven around calls emit [`TraceEvent`]
-//! records through an optional [`TraceSink`] installed with
-//! [`crate::Vm::set_tracer`]. When no sink is installed the emission sites
-//! compile down to a branch on `None` — events are never even constructed —
-//! so tracing costs nothing when disabled. Campaign sweeps never install
-//! one; only a replay of one injection point does. The bundled
-//! [`RingBufferSink`] keeps the last `capacity` events in a bounded ring:
-//! old events fall off the front, and the sink reports how many were
-//! emitted versus dropped.
+//! records into the run's flight recorder, a [`RingBufferSink`] the heap
+//! holds while a run records one: [`crate::Vm::start_trace`] starts it,
+//! [`crate::Vm::take_trace`] hands it back, and
+//! [`crate::Vm::reset_for_run`] drops it. With no recorder running every
+//! emission site is a branch on `None` — events are never even
+//! constructed — so tracing costs nothing when disabled. Campaign sweeps
+//! never start one; only a replay of one injection point does. The ring
+//! keeps the last `capacity` events: old events fall off the front, and
+//! the recorder reports how many were emitted versus dropped.
 //!
 //! The event vocabulary covers the whole story of one injector run: call
 //! enter/exit, exception throw/propagate/deliver, heap allocation and
@@ -231,19 +232,9 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of [`TraceEvent`]s.
-///
-/// Implementations must not re-enter the VM: `record` is called from
-/// inside dispatch and heap operations. `Debug` is required so traced
-/// components ([`crate::Heap`]) stay debuggable.
-pub trait TraceSink: std::fmt::Debug {
-    /// Consumes one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A bounded ring-buffer [`TraceSink`]: keeps the most recent `capacity`
-/// events, dropping the oldest. Memory use is fixed by `capacity`, so a
-/// long replay cannot grow the recorder without bound.
+/// The flight recorder: a bounded ring of [`TraceEvent`]s that keeps the
+/// most recent `capacity` events, dropping the oldest. Memory use is fixed
+/// by `capacity`, so a long replay cannot grow the recorder without bound.
 #[derive(Debug, Clone)]
 pub struct RingBufferSink {
     capacity: usize,
@@ -296,10 +287,9 @@ impl RingBufferSink {
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.ring.into()
     }
-}
 
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: TraceEvent) {
+    /// Records one event, dropping the oldest when the ring is full.
+    pub(crate) fn record(&mut self, event: TraceEvent) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
@@ -315,8 +305,6 @@ mod tests {
     use crate::registry::RegistryBuilder;
     use crate::value::Value;
     use crate::vm::Vm;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn registry_builder() -> RegistryBuilder {
         let mut rb = RegistryBuilder::new(Profile::java());
@@ -338,11 +326,10 @@ mod tests {
         rb
     }
 
-    fn traced_vm() -> (Vm, Rc<RefCell<RingBufferSink>>) {
+    fn traced_vm() -> Vm {
         let mut vm = Vm::new(registry_builder().build());
-        let sink = Rc::new(RefCell::new(RingBufferSink::new(4096)));
-        vm.set_tracer(Some(sink.clone()));
-        (vm, sink)
+        vm.start_trace(4096);
+        vm
     }
 
     #[test]
@@ -366,13 +353,12 @@ mod tests {
 
     #[test]
     fn vm_emits_call_heap_and_exception_events() {
-        let (mut vm, sink) = traced_vm();
+        let mut vm = traced_vm();
         let t = vm.construct("T", &[]).unwrap();
         vm.root(t);
         let err = vm.call(t, "outer", &[]).unwrap_err();
         assert_eq!(err.message, "boom");
-        let sink = sink.borrow();
-        let events: Vec<TraceEvent> = sink.events().collect();
+        let events = vm.take_trace().unwrap().into_events();
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::HeapAlloc { .. })));
@@ -403,7 +389,7 @@ mod tests {
 
     #[test]
     fn untraced_vm_emits_nothing_and_behaves_identically() {
-        let (mut traced, sink) = traced_vm();
+        let mut traced = traced_vm();
         let mut plain = Vm::new(registry_builder().build());
         let a = traced.construct("T", &[]).unwrap();
         traced.root(a);
@@ -413,31 +399,32 @@ mod tests {
         let rb = plain.call(b, "bump", &[]).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(traced.fuel_spent(), plain.fuel_spent(), "tracing is free");
-        assert!(sink.borrow().emitted() > 0);
+        assert!(traced.take_trace().unwrap().emitted() > 0);
+        assert!(plain.take_trace().is_none(), "no recorder unless started");
     }
 
     #[test]
     fn events_are_deterministic_across_identical_runs() {
         let run = || {
-            let (mut vm, sink) = traced_vm();
+            let mut vm = traced_vm();
             let t = vm.construct("T", &[]).unwrap();
             vm.root(t);
             let _ = vm.call(t, "outer", &[]);
-            vm.set_tracer(None);
-            Rc::try_unwrap(sink).unwrap().into_inner().into_events()
+            vm.take_trace().unwrap().into_events()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn render_resolves_names() {
-        let (mut vm, sink) = traced_vm();
+        let mut vm = traced_vm();
         let t = vm.construct("T", &[]).unwrap();
         vm.root(t);
         vm.call(t, "bump", &[]).unwrap();
         let registry = vm.registry().clone();
-        let rendered: Vec<String> = sink
-            .borrow()
+        let rendered: Vec<String> = vm
+            .take_trace()
+            .unwrap()
             .events()
             .map(|e| e.render(&registry))
             .collect();
@@ -456,14 +443,14 @@ mod tests {
             });
         });
         let mut vm = Vm::new(rb.build());
-        let sink = Rc::new(RefCell::new(RingBufferSink::new(64)));
-        vm.set_tracer(Some(sink.clone()));
+        vm.start_trace(64);
         let s = vm.construct("S", &[]).unwrap();
         vm.root(s);
         vm.set_budget(crate::Budget::fuel(200));
         let _ = vm.call(s, "spin", &[]).unwrap_err();
-        assert!(sink
-            .borrow()
+        assert!(vm
+            .take_trace()
+            .unwrap()
             .events()
             .any(|e| matches!(e, TraceEvent::BudgetExhausted { .. })));
     }

@@ -9,7 +9,7 @@ use crate::hook::{CallHook, CallKind, CallSite, HookGuard};
 use crate::ids::{ExcId, MethodId, ObjId};
 use crate::registry::Registry;
 use crate::resume::VmCheckpoint;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{RingBufferSink, TraceEvent};
 use crate::value::Value;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -71,7 +71,10 @@ pub struct Vm {
     call_seq: u64,
     depth: usize,
     fuel: FuelMeter,
-    tracer: Option<Rc<RefCell<dyn TraceSink>>>,
+    /// The chain id the next created exception takes (see
+    /// [`Exception::chain`]): restarts at 1 with every run, and travels
+    /// with [`Vm::checkpoint`] and [`Vm::restore`].
+    next_chain: u64,
     /// Preinterned id of the distinguished `BudgetExhausted` exception;
     /// cached so dispatch can exempt it from declaration-violation
     /// accounting without a name lookup per propagation step.
@@ -87,10 +90,6 @@ impl Vm {
     /// Creates a VM over an already-shared registry (campaigns reuse one
     /// registry across many VMs instead of rebuilding it per run).
     pub fn from_shared_registry(registry: Rc<Registry>) -> Self {
-        // Exception chain ids restart per VM: they only need to be unique
-        // within one VM's lifetime, and restarting keeps run records (and
-        // campaign journals) deterministic regardless of process history.
-        crate::exception::reset_chains();
         let methods = registry.method_count();
         let budget_exc = registry
             .exceptions()
@@ -107,37 +106,54 @@ impl Vm {
             call_seq: 0,
             depth: 0,
             fuel: FuelMeter::new(Budget::unlimited()),
-            tracer: None,
+            next_chain: 1,
             budget_exc,
         }
     }
 
-    /// Installs (or removes) the flight recorder. The sink is shared with
-    /// the heap, so heap write/undo/journal events and VM call/exception
-    /// events interleave in one stream. With no sink installed every
-    /// emission site is a branch on `None` — events are never constructed.
-    ///
-    /// Sinks must not re-enter the VM (the sink cell is borrowed while
-    /// recording).
-    pub fn set_tracer(&mut self, tracer: Option<Rc<RefCell<dyn TraceSink>>>) {
-        self.heap.set_tracer(tracer.clone());
-        self.tracer = tracer;
+    /// Starts this run's flight recorder, keeping the last `capacity`
+    /// events. Heap write/undo/journal events and VM call/exception events
+    /// interleave in one stream. With no recorder running every emission
+    /// site is a branch on `None` — events are never constructed.
+    pub fn start_trace(&mut self, capacity: usize) {
+        self.heap.recorder = Some(RingBufferSink::new(capacity));
     }
 
-    /// Records one event on the installed sink, if any. Public so hooks in
-    /// other crates (injection, masking) can add their own span events.
-    pub fn trace(&self, event: TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().record(event);
+    /// Stops the flight recorder and hands it back; `None` if this run
+    /// never started one.
+    pub fn take_trace(&mut self) -> Option<RingBufferSink> {
+        self.heap.recorder.take()
+    }
+
+    /// Records one event on the flight recorder, if one is running. Public
+    /// so hooks in other crates (injection, masking) can add their own
+    /// events.
+    pub fn trace(&mut self, event: TraceEvent) {
+        self.heap.trace(|| event);
+    }
+
+    /// Creates an exception with this run's next chain id.
+    pub(crate) fn exception(
+        &mut self,
+        ty: ExcId,
+        message: String,
+        injected_into: Option<MethodId>,
+    ) -> Exception {
+        let chain = self.next_chain;
+        self.next_chain += 1;
+        Exception {
+            ty,
+            message,
+            injected: injected_into.is_some(),
+            injected_into,
+            chain,
         }
     }
 
-    /// Emission helper: the closure only runs when a sink is installed.
-    #[inline]
-    fn emit(&self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().record(make());
-        }
+    /// Creates the exception an injection wrapper throws into `target`
+    /// (Listing 1), with this run's next chain id.
+    pub fn injected_exception(&mut self, ty: ExcId, target: MethodId) -> Exception {
+        self.exception(ty, "injected".to_owned(), Some(target))
     }
 
     /// Installs a fresh fuel [`Budget`], resetting any fuel already spent.
@@ -148,18 +164,19 @@ impl Vm {
     /// Re-initializes the VM for a fresh run **without** rebuilding its
     /// universe. The heap is epoch-reset (storage capacity retained, ids
     /// restart at 1), exception chain ids restart, call statistics /
-    /// frames / depth / call sequence are zeroed, both hooks and the tracer
-    /// are detached, and the fuel meter is replaced with an unlimited budget —
-    /// exactly the state [`Vm::from_shared_registry`] constructs, so a
-    /// recycled VM's run records are bit-identical to a fresh VM's.
+    /// frames / depth / call sequence are zeroed, both hooks are detached,
+    /// the flight recorder is dropped, and the fuel meter is replaced with
+    /// an unlimited budget — exactly the state [`Vm::from_shared_registry`]
+    /// constructs, so a recycled VM's run records are bit-identical to a
+    /// fresh VM's.
     ///
     /// Campaign sweeps call this between injection attempts instead of
     /// building a VM per attempt; it is also safe after a panicking run
     /// unwound through the VM (all guest state is discarded wholesale).
     pub fn reset_for_run(&mut self) {
-        crate::exception::reset_chains();
+        self.next_chain = 1;
         self.heap.epoch_reset();
-        self.set_tracer(None);
+        self.heap.recorder = None;
         self.set_hook(None);
         self.frame_roots.clear();
         self.frame_starts.clear();
@@ -360,7 +377,7 @@ impl Vm {
             stats: self.stats.clone(),
             call_seq: self.call_seq,
             fuel_spent: self.fuel.spent(),
-            chain_next: crate::exception::chain_watermark(),
+            chain_next: self.next_chain,
         }
     }
 
@@ -384,7 +401,7 @@ impl Vm {
         self.stats.exceptions_seen = ckpt.stats.exceptions_seen;
         self.call_seq = ckpt.call_seq;
         self.fuel.preload_spent(ckpt.fuel_spent);
-        crate::exception::set_chain_watermark(ckpt.chain_next);
+        self.next_chain = ckpt.chain_next;
     }
 
     /// Roots `id` in the innermost live frame; no-op at driver level, where
@@ -410,7 +427,7 @@ impl Vm {
             );
         }
         self.fuel.charge_heap_op();
-        self.emit(|| TraceEvent::BudgetCharge {
+        self.heap.trace(|| TraceEvent::BudgetCharge {
             spent: self.fuel.spent(),
         });
     }
@@ -437,13 +454,11 @@ impl Vm {
                 );
             }
             self.fuel.mark_reported();
-            self.emit(|| TraceEvent::BudgetExhausted {
+            self.heap.trace(|| TraceEvent::BudgetExhausted {
                 spent: self.fuel.spent(),
             });
-            return Err(Exception::new(
-                self.budget_exc,
-                format!("fuel budget exhausted after {} steps", self.fuel.spent()),
-            ));
+            let message = format!("fuel budget exhausted after {} steps", self.fuel.spent());
+            return Err(self.exception(self.budget_exc, message, None));
         }
         let body = body_clone(&self.registry.method(mid).body);
         self.stats.calls[mid.index()] += 1;
@@ -457,7 +472,7 @@ impl Vm {
             kind,
             seq: self.call_seq,
         };
-        self.emit(|| TraceEvent::CallEnter {
+        self.heap.trace(|| TraceEvent::CallEnter {
             method: mid,
             kind,
             depth: site.depth,
@@ -527,7 +542,7 @@ impl Vm {
             self.heap.unroot(a);
         }
 
-        self.emit(|| TraceEvent::CallExit {
+        self.heap.trace(|| TraceEvent::CallExit {
             method: mid,
             seq: site.seq,
             threw: result.is_err(),
@@ -540,7 +555,7 @@ impl Vm {
                 }
             }
             Err(e) => {
-                self.emit(|| {
+                self.heap.trace(|| {
                     if site.depth > 0 {
                         TraceEvent::ExcPropagate {
                             method: mid,
@@ -881,6 +896,32 @@ mod tests {
         );
     }
 
+    #[test]
+    fn each_vm_keeps_its_own_chain_sequence() {
+        let shared = Rc::new(counter_registry());
+        let mut first = Vm::from_shared_registry(shared.clone());
+        let c = first.construct("Counter", &[]).unwrap();
+        first.root(c);
+        let throw = |vm: &mut Vm, obj| vm.call(obj, "fail", &[]).unwrap_err().chain;
+        assert_eq!((throw(&mut first, c), throw(&mut first, c)), (1, 2));
+
+        let mut second = Vm::from_shared_registry(shared);
+        let d = second.construct("Counter", &[]).unwrap();
+        second.root(d);
+        assert_eq!(
+            throw(&mut first, c),
+            3,
+            "a second VM leaves the first's ids"
+        );
+        assert_eq!(throw(&mut second, d), 1);
+
+        let ty = first.exc_id("RuntimeException");
+        let injected = first.injected_exception(ty, MethodId::from_raw(0));
+        assert!(injected.injected);
+        assert_eq!(injected.injected_into, Some(MethodId::from_raw(0)));
+        assert_eq!(injected.chain, 4, "injections take the same counter");
+    }
+
     /// A hook that logs its before/after events under a label and can
     /// throw from `before`.
     struct Logger {
@@ -894,7 +935,7 @@ mod tests {
             self.log.borrow_mut().push(format!("{}:before", self.label));
             if self.throw_on_before {
                 let ty = vm.registry().runtime_exceptions()[0];
-                return Err(Exception::injected(ty, site.method));
+                return Err(vm.injected_exception(ty, site.method));
             }
             Ok(Some(Box::new(self.label)))
         }
